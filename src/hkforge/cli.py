@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import groebner
-from .errors import HKForgeError, InternalError, PreconditionViolated
+from .errors import HKForgeError, InternalError, PreconditionViolated, ResourceCap
 from .groebner import INFINITE
 from .invariants import group_closure, noether_bound_value, noether_ideal
 from .linkage import (
@@ -56,10 +56,16 @@ def _emit_tsv(header: list[str], rows: list[list]):
 
 
 def _oracle_check(label: str, rideal, engine_value):
-    """Recompute a colength by Macaulay brute force and insist on agreement."""
+    """Recompute a colength by Macaulay brute force and insist on agreement.
+
+    An oracle that gives up without certifying a value is a resource cap,
+    not a disagreement.
+    """
     if engine_value == INFINITE:
         return "infinite"
     value = colength_bruteforce(rideal.lift.ring, rideal.lift.gens)
+    if value is None:
+        raise ResourceCap(f"oracle could not certify {label} (engine {engine_value})")
     if value != engine_value:
         raise InternalError(
             f"oracle disagrees on {label}: engine {engine_value}, oracle {value}"

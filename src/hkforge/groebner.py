@@ -4,12 +4,18 @@ Pair selection uses the normal strategy: smallest lcm total degree first,
 ties broken by pair index, so runs are deterministic.  Every basis element
 is kept monic and the final basis is interreduced, which makes reduced
 bases canonical and ideal equality a tuple comparison.
+
+Reduction (``normal_form``) keeps its working polynomial as a term dict
+and a heap ordered by ``MonomialOrder.heap_key``; it sorts nothing, and the
+remainder comes out already in order.  Polynomials are built sorted once per
+result, never once per reduction step.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import EmptyVariety, PreconditionViolated, ResourceCap, RingMismatch
@@ -72,29 +78,56 @@ def normal_form(
 
     Deterministic: the greatest reducible term is rewritten by the first
     matching element of the basis sequence.  Basis elements must be monic.
+    Each rewrite charges the budget len(reducer.terms).
+
+    The working polynomial is a dict from exponents to coefficients plus a
+    min-heap of ``heap_key`` entries, so the greatest term is popped without
+    re-sorting.  An entry whose monomial cancelled is skipped when popped
+    (lazy deletion).  Terms come off the heap in descending order, so the
+    irreducible ones already form the sorted result.
     """
+    ring = f.ring
     for g in basis:
-        if g.ring != f.ring:
-            raise RingMismatch(f"{g.ring!r} vs {f.ring!r}")
-    lts = [g.leading_exponents() for g in basis]
+        if g.ring != ring:
+            raise RingMismatch(f"{g.ring!r} vs {ring!r}")
+    p = ring.p
+    heap_key = ring.order.heap_key
+    heappop, heappush = heapq.heappop, heapq.heappush
+    reducers = [(g.leading_exponents(), g.terms, len(g.terms)) for g in basis]
+    work = dict(f.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     tail: list[tuple[Exponents, int]] = []
-    work = f
-    while not work.is_zero():
-        e, c = work.terms[0]
-        reducer = None
-        for lt, g in zip(lts, basis):
-            if exponents_divide(lt, e):
-                reducer = g
+    while heap:
+        e = heappop(heap)[1]
+        c = work.get(e)
+        if c is None:
+            continue
+        for lt, terms, size in reducers:
+            if all(map(le, lt, e)):
                 break
-        if reducer is None:
-            tail.append((e, c))
-            work = Polynomial(work.ring, work.terms[1:])
         else:
-            step = reducer.multiply_monomial(exponents_sub(e, reducer.leading_exponents()), c)
-            if budget is not None:
-                budget.charge(len(step.terms))
-            work = work - step
-    return f.ring.from_terms(tail)
+            tail.append((e, c))
+            del work[e]
+            continue
+        if budget is not None:
+            budget.charge(size)
+        shift = tuple(map(sub, e, lt))
+        for eg, cg in terms:
+            m = tuple(map(add, eg, shift))
+            old = work.get(m)
+            if old is None:
+                work[m] = -c * cg % p
+                heappush(heap, (heap_key(m), m))
+            else:
+                new = (old - c * cg) % p
+                if new:
+                    work[m] = new
+                else:
+                    del work[m]
+        if e in work:
+            heappush(heap, (heap_key(e), e))
+    return Polynomial(ring, tuple(tail))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -9,7 +9,6 @@ m-primary ideals this package accepts.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Optional, Sequence
 
 from .errors import EmptyVariety, InternalError, PreconditionViolated
@@ -20,7 +19,7 @@ from .poly import MonomialOrder, Polynomial, PolyRing, exponents_divide, exponen
 class Ideal:
     """An ideal of a polynomial ring, with a per-order Groebner cache."""
 
-    __slots__ = ("ring", "gens", "_cache", "_lock")
+    __slots__ = ("ring", "gens", "_cache")
 
     def __init__(self, ring: PolyRing, gens: Sequence[Polynomial]):
         for g in gens:
@@ -28,7 +27,6 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def of(cls, *gens: Polynomial) -> "Ideal":
@@ -41,14 +39,12 @@ class Ideal:
 
     def groebner(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
         order = order if order is not None else self.ring.order
-        with self._lock:
-            cached = self._cache.get(order)
+        cached = self._cache.get(order)
         if cached is not None:
             return cached
         ring = self.ring.with_order(order)
         basis = buchberger(ring, [ring.convert(g) for g in self.gens])
-        with self._lock:
-            self._cache.setdefault(order, basis)
+        self._cache[order] = basis
         return basis
 
     # -- boolean queries ------------------------------------------------------

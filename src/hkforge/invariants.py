@@ -127,18 +127,27 @@ def group_closure(
     return MatrixGroup(field, n, tuple(sorted(seen)))
 
 
-def act(matrix: Matrix, f: Polynomial) -> Polynomial:
-    return f.substitute_linear(matrix)
+def reynolds(
+    f: Polynomial, G: MatrixGroup, tables: Optional[list[list[list[tuple]]]] = None
+) -> Polynomial:
+    """(1/|G|) sum of the orbit of f; an idempotent projection onto invariants.
 
-
-def reynolds(f: Polynomial, G: MatrixGroup) -> Polynomial:
-    """(1/|G|) sum of the orbit of f; an idempotent projection onto invariants."""
-    if f.ring.field != G.field or f.ring.n != G.n:
+    The orbit is summed into one term dict and sorted once.  tables holds
+    ``PolyRing.linear_powers`` of every group element, in the order of
+    G.elements and of degree at least deg f; it is built here when omitted.
+    """
+    ring = f.ring
+    if ring.field != G.field or ring.n != G.n:
         raise PreconditionViolated("polynomial and group live over different spaces")
-    total = f.ring.zero()
-    for m in G.elements:
-        total = total + act(m, f)
-    return total * G.field.inv(G.order % G.field.p)
+    if tables is None:
+        degree = max(f.total_degree(), 0)
+        tables = [ring.linear_powers(m, degree) for m in G.elements]
+    acc: dict = {}
+    for table in tables:
+        f.substitute_into(acc, table)
+    p = ring.p
+    scale = G.field.inv(G.order % p)
+    return ring._from_dict({e: c * scale % p for e, c in acc.items()})
 
 
 def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
@@ -146,13 +155,15 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
 
     Rows are reduced against each other in descending monomial order, so the
     output is deterministic and each basis element has a distinct leading
-    monomial.
+    monomial.  The powers of every element's images of the variables are
+    computed once for the degree and shared by all monomials.
     """
     if d < 1:
         raise PreconditionViolated("degree must be >= 1")
+    tables = [ring.linear_powers(m, d) for m in G.elements]
     pivots: dict[tuple, Polynomial] = {}
     for exps in monomials_of_degree(ring.n, d):
-        g = reynolds(ring.monomial(exps), G)
+        g = reynolds(ring.monomial(exps), G, tables)
         while not g.is_zero():
             lead = g.leading_exponents()
             holder = pivots.get(lead)

@@ -5,10 +5,18 @@ A polynomial is an immutable, canonically sorted list of
 ints reduced mod p; the ring object owns the field and the active order.
 Frobenius powers, linear substitution and partial derivatives live here
 because they are term-level rewrites.
+
+Arithmetic that combines many terms collects them in one
+``dict[exponents -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
+when the result is built; no intermediate ``Polynomial`` is made.  Products
+and linear substitution share one dict-multiply loop (``_mul_into``), and
+``MonomialOrder.heap_key`` lets a reduction keep its terms in a min-heap
+whose top is the greatest monomial (see ``groebner.normal_form``).
 """
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable, Sequence
 
 from .errors import NotAPowerOfP, PreconditionViolated, ResourceCap, RingMismatch
@@ -23,7 +31,11 @@ Exponents = tuple[int, ...]
 
 
 def _grevlex_key(e: Exponents):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+def _grevlex_heap_key(e: Exponents):
+    return (-sum(e), e[::-1])
 
 
 class MonomialOrder:
@@ -80,6 +92,16 @@ class MonomialOrder:
         k = self.block
         return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
 
+    def heap_key(self, e: Exponents):
+        """Negated sort key: a smaller heap_key means a greater monomial, so
+        the top of a ``heapq`` min-heap is the leading term."""
+        if self.kind == "grevlex":
+            return _grevlex_heap_key(e)
+        if self.kind == "lex":
+            return tuple(map(neg, e))
+        k = self.block
+        return (_grevlex_heap_key(e[:k]), _grevlex_heap_key(e[k:]))
+
     def compare(self, a: Exponents, b: Exponents) -> int:
         if len(a) != len(b):
             raise RingMismatch("exponent vectors of different lengths")
@@ -115,6 +137,21 @@ def exponents_add(a: Exponents, b: Exponents) -> Exponents:
 
 def exponents_sub(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _mul_into(acc: dict, a, b, p: int) -> dict:
+    """Add the product of two term sequences into acc, coefficients mod p.
+
+    The one multiply loop behind ``Polynomial.__mul__`` and linear
+    substitution.  Zero coefficients may stay in acc; ``_from_dict`` drops
+    them.
+    """
+    get = acc.get
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(map(add, ea, eb))
+            acc[e] = (get(e, 0) + ca * cb) % p
+    return acc
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
@@ -160,6 +197,8 @@ class PolyRing:
         return self.field.p
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
@@ -229,6 +268,33 @@ class PolyRing:
             (e, c) for e, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c
         )
         return Polynomial(self, items)
+
+    def linear_powers(self, matrix: Sequence[Sequence[int]], degree: int) -> list[list[tuple]]:
+        """Powers of the images of the variables under x_j -> sum_i M[i][j] x_i.
+
+        ``table[j][k]`` holds the terms of (sum_i M[i][j] x_i)^k for
+        0 <= k <= degree.  Build it once per matrix and degree and hand it to
+        ``Polynomial.substitute_into`` for every polynomial of degree at most
+        ``degree``.
+        """
+        n = self.n
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise RingMismatch(f"substitution matrix must be {n}x{n}")
+        p = self.p
+        units = [self.variable(i).terms[0][0] for i in range(n)]
+        one = ((self._zero_exps, 1),)
+        table = []
+        for j in range(n):
+            image = tuple(
+                (units[i], matrix[i][j] % p) for i in range(n) if matrix[i][j] % p
+            )
+            powers = [one]
+            for _ in range(degree):
+                powers.append(
+                    tuple((e, c) for e, c in _mul_into({}, powers[-1], image, p).items() if c)
+                )
+            table.append(powers)
+        return table
 
     def convert(self, f: "Polynomial") -> "Polynomial":
         """Re-sort a polynomial from a ring that differs only in its order."""
@@ -337,13 +403,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        acc: dict[Exponents, int] = {}
-        p = self.ring.p
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = (acc.get(e, 0) + ca * cb) % p
-        return self.ring._from_dict(acc)
+        return self.ring._from_dict(_mul_into({}, self.terms, other.terms, self.ring.p))
 
     __rmul__ = __mul__
 
@@ -376,10 +436,7 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(
             self.ring,
-            tuple(
-                (tuple(x + y for x, y in zip(e, exps)), c * coeff % p)
-                for e, c in self.terms
-            ),
+            tuple((tuple(map(add, e, exps)), c * coeff % p) for e, c in self.terms),
         )
 
     # -- characteristic-p and calculus rewrites ------------------------------
@@ -397,23 +454,22 @@ class Polynomial:
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "Polynomial":
         """Image under x_j -> sum_i M[i][j] x_i (column action)."""
-        n = self.ring.n
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise RingMismatch(f"substitution matrix must be {n}x{n}")
-        images = [
-            self.ring.from_terms(
-                (self.ring.variable(i).terms[0][0], matrix[i][j]) for i in range(n)
-            )
-            for j in range(n)
-        ]
-        result = self.ring.zero()
+        table = self.ring.linear_powers(matrix, max(self.total_degree(), 0))
+        return self.ring._from_dict(self.substitute_into({}, table))
+
+    def substitute_into(self, acc: dict, table: list[list[tuple]]) -> dict:
+        """Add the image of self under a linear substitution into the term
+        dict acc and return acc; table comes from ``PolyRing.linear_powers``
+        with a degree of at least deg self."""
+        p = self.ring.p
+        one = ((self.ring._zero_exps, 1),)
         for e, c in self.terms:
-            part = self.ring.constant(c)
-            for j, exp in enumerate(e):
-                if exp:
-                    part = part * images[j] ** exp
-            result = result + part
-        return result
+            factors = [table[j][k] for j, k in enumerate(e) if k] or [one]
+            part = ((self.ring._zero_exps, c),)
+            for factor in factors[:-1]:
+                part = tuple(_mul_into({}, part, factor, p).items())
+            _mul_into(acc, part, factors[-1], p)
+        return acc
 
     def partial_derivative(self, i: int) -> "Polynomial":
         if not 0 <= i < self.ring.n:

@@ -200,6 +200,15 @@ def test_reciprocity_with_oracle(capsys):
     assert code == 0
 
 
+def test_uncertified_oracle_is_a_resource_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "colength_bruteforce", lambda ring, gens: None)
+    code, out = run(
+        capsys, "colength", "--in", path("regular2.json"), "--ideal", "a", "--oracle"
+    )
+    assert code == 4
+    assert out == ""
+
+
 def test_parity(capsys):
     payload = run_json(
         capsys, "parity", "--in", path("dualnumbers.json"), "--ideal", "I"

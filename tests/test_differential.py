@@ -1,0 +1,155 @@
+"""Differential tests: the dict-and-heap kernels against the plain loops
+they replaced, kept here as references.
+
+``reference_normal_form`` is the re-sorting reduction loop (``work - step``
+on whole polynomials), and ``reference_substitute`` builds the image of
+every term from powers of the image polynomials.  The new kernels must give
+identical polynomials and charge the term budget identically.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hkforge.groebner import _Budget, buchberger, normal_form
+from hkforge.invariants import group_closure, reynolds
+from hkforge.poly import MonomialOrder, PolyRing, exponents_divide, exponents_sub
+
+PRIMES = (2, 3, 5, 7, 101)
+NAMES = ("x", "y", "z", "w")
+
+
+def reference_normal_form(f, basis, budget=None):
+    lts = [g.leading_exponents() for g in basis]
+    tail = []
+    work = f
+    while not work.is_zero():
+        e, c = work.terms[0]
+        reducer = None
+        for lt, g in zip(lts, basis):
+            if exponents_divide(lt, e):
+                reducer = g
+                break
+        if reducer is None:
+            tail.append((e, c))
+            work = work.ring.from_terms(work.terms[1:])
+        else:
+            step = reducer.multiply_monomial(exponents_sub(e, reducer.leading_exponents()), c)
+            if budget is not None:
+                budget.charge(len(step.terms))
+            work = work - step
+    return f.ring.from_terms(tail)
+
+
+def reference_substitute(f, matrix):
+    R = f.ring
+    images = [
+        R.from_terms((R.variable(i).terms[0][0], matrix[i][j]) for i in range(R.n))
+        for j in range(R.n)
+    ]
+    result = R.zero()
+    for e, c in f.terms:
+        part = R.constant(c)
+        for j, exp in enumerate(e):
+            if exp:
+                part = part * images[j] ** exp
+        result = result + part
+    return result
+
+
+@st.composite
+def rings(draw, max_vars=4):
+    n = draw(st.integers(1, max_vars))
+    kind = draw(st.sampled_from(("lex", "grevlex", "elim")))
+    order = MonomialOrder.elim(draw(st.integers(1, n))) if kind == "elim" else MonomialOrder(kind)
+    return PolyRing(draw(st.sampled_from(PRIMES)), NAMES[:n], order)
+
+
+def polys(R, max_terms=6, max_exp=4):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, max_exp)] * R.n), st.integers(1, R.p - 1)
+    )
+    return st.lists(term, max_size=max_terms).map(R.from_terms)
+
+
+@st.composite
+def reductions(draw, max_vars=4, max_exp=3):
+    R = draw(rings(max_vars))
+    f = draw(polys(R, max_terms=8, max_exp=5))
+    basis = [
+        g.monic()
+        for g in draw(st.lists(polys(R, max_terms=4, max_exp=max_exp), max_size=4))
+        if not g.is_zero()
+    ]
+    return f, basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions())
+def test_normal_form_matches_reference_loop(case):
+    f, basis = case
+    budget, reference_budget = _Budget(None), _Budget(None)
+    assert normal_form(f, basis, budget) == reference_normal_form(f, basis, reference_budget)
+    assert budget.used == reference_budget.used
+
+
+@settings(max_examples=50, deadline=None)
+@given(reductions(max_vars=3, max_exp=2), st.integers(1, 3))
+def test_normal_form_matches_reference_on_groebner_bases(case, power):
+    f, gens = case
+    R = f.ring
+    # Pure powers make the ideal m-primary, which keeps the bases small.
+    gens = gens + [R.variable(i) ** power for i in range(R.n)]
+    G = buchberger(R, gens).basis
+    budget, reference_budget = _Budget(None), _Budget(None)
+    assert normal_form(f, G, budget) == reference_normal_form(f, G, reference_budget)
+    assert budget.used == reference_budget.used
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings(), st.data())
+def test_heap_key_is_key_reversed(R, data):
+    exps = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 5)] * R.n), min_size=2, max_size=12, unique=True)
+    )
+    order = R.order
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+    a, b = exps[0], exps[1]
+    assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rings(max_vars=3), st.data())
+def test_substitute_linear_matches_reference(R, data):
+    f = data.draw(polys(R, max_terms=4, max_exp=3))
+    matrix = data.draw(
+        st.lists(st.lists(st.integers(-R.p, 2 * R.p), min_size=R.n, max_size=R.n),
+                 min_size=R.n, max_size=R.n)
+    )
+    assert f.substitute_linear(matrix) == reference_substitute(f, matrix)
+
+
+GROUPS = [
+    (5, [[[4, 0], [0, 4]]]),
+    (5, [[[4, 0], [0, 1]], [[1, 0], [0, 4]]]),
+    (7, [[[0, 1], [1, 0]], [[0, 6], [1, 6]]]),
+    (7, [[[3, 0], [0, 5]]]),
+    (7, [[[1, 1], [6, 0]]]),
+    (5, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[4, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_reynolds_is_the_naive_orbit_sum(group, data):
+    p, gens = group
+    G = group_closure(p, gens)
+    R = PolyRing(p, NAMES[: G.n], MonomialOrder(data.draw(st.sampled_from(("lex", "grevlex")))))
+    f = data.draw(polys(R, max_terms=4, max_exp=3))
+    orbit_sum = R.zero()
+    for m in G.elements:
+        orbit_sum = orbit_sum + f.substitute_linear(m)
+    expected = orbit_sum * G.field.inv(G.order % p)
+    assert reynolds(f, G) == expected
+    degree = max(f.total_degree(), 0) + data.draw(st.integers(0, 2))
+    tables = [R.linear_powers(m, degree) for m in G.elements]
+    assert reynolds(f, G, tables) == expected
