@@ -38,11 +38,11 @@ from .linkage import (
     pd_finite_probe,
     reciprocity_report,
 )
-from .oracle import colength_bruteforce, colength_truncated, membership_bruteforce
+from .oracle import colength_bruteforce
 from .parsing import parse_polynomial
 from .poly import MonomialOrder, Polynomial, PolyRing
 from .problem import ProblemFile, load_problem, problem_from_dict
-from .scalar import FpElement, PrimeField, rational, render_rational
+from .scalar import PrimeField, rational, render_rational
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "DivisionByZero",
     "DoubleLinkFailed",
     "EmptyVariety",
-    "FpElement",
     "GroebnerBasis",
     "HKForgeError",
     "INFINITE",
@@ -77,7 +76,6 @@ __all__ = [
     "UnknownVariable",
     "buchberger",
     "colength_bruteforce",
-    "colength_truncated",
     "corner_power",
     "deviation",
     "gorenstein_parity_check",
@@ -86,7 +84,6 @@ __all__ = [
     "invariant_basis",
     "link",
     "load_problem",
-    "membership_bruteforce",
     "noether_bound_value",
     "noether_ideal",
     "normal_form",

@@ -193,14 +193,12 @@ def _cmd_reciprocity(args) -> None:
     a = problem.ideal(args.ci)
     report = reciprocity_report(I, a, args.nmax)
     if args.oracle:
-        datum = link(I, a)
+        L = report.linkage
         for row in report.rows:
-            _oracle_check(f"len_I(q={row.q})", I.bracket_power(row.q), row.len_i)
-            _oracle_check(f"len_J(q={row.q})", datum.J.bracket_power(row.q), row.len_j)
-            _oracle_check(f"len_a(q={row.q})", a.bracket_power(row.q), row.len_a)
-            _oracle_check(
-                f"corner(q={row.q})", corner_power(datum, row.q), row.len_corner
-            )
+            _oracle_check(f"len_I(q={row.q})", L.I.bracket_power(row.q), row.len_i)
+            _oracle_check(f"len_J(q={row.q})", L.J.bracket_power(row.q), row.len_j)
+            _oracle_check(f"len_a(q={row.q})", L.a.bracket_power(row.q), row.len_a)
+            _oracle_check(f"corner(q={row.q})", row.corner, row.len_corner)
     if args.format == "tsv":
         _emit_tsv(
             RECIPROCITY_HEADER,

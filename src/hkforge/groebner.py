@@ -168,7 +168,6 @@ def buchberger(
     gens: Sequence[Polynomial],
     max_pairs: Optional[int] = None,
     max_terms: Optional[int] = None,
-    chain_criterion: bool = False,
 ) -> "GroebnerBasis":
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -183,7 +182,7 @@ def buchberger(
         ring.check_same(g.ring)
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
-        return GroebnerBasis(ring, (), reduced=True)
+        return GroebnerBasis(ring, ())
     budget = _Budget(max_terms)
     seen = set()
     work: list[Polynomial] = []
@@ -195,13 +194,11 @@ def buchberger(
     lts = [g.leading_exponents() for g in basis]
 
     heap: list[tuple[int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int):
         for i in range(j):
             gamma = exponents_lcm(lts[i], lts[j])
             heapq.heappush(heap, (sum(gamma), i, j))
-            pending.add((i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -209,23 +206,12 @@ def buchberger(
     processed = 0
     while heap:
         _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
         processed += 1
         if processed > max_pairs:
             raise ResourceCap(f"pair budget {max_pairs} exhausted")
         a, b = lts[i], lts[j]
-        gamma = exponents_lcm(a, b)
         # Coprime leading terms: the S-polynomial always reduces to zero.
         if all(min(x, y) == 0 for x, y in zip(a, b)):
-            continue
-        if chain_criterion and any(
-            k != i
-            and k != j
-            and exponents_divide(lts[k], gamma)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(basis))
-        ):
             continue
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis, budget)
         if remainder.is_zero():
@@ -235,18 +221,17 @@ def buchberger(
         lts.append(remainder.leading_exponents())
         push_pairs(len(basis) - 1)
 
-    return GroebnerBasis(ring, _interreduce(ring, basis), reduced=True)
+    return GroebnerBasis(ring, _interreduce(ring, basis))
 
 
 class GroebnerBasis:
     """A reduced Groebner basis with staircase combinatorics on top."""
 
-    __slots__ = ("ring", "basis", "reduced", "_colength", "_dim")
+    __slots__ = ("ring", "basis", "_colength", "_dim")
 
-    def __init__(self, ring: PolyRing, basis: tuple[Polynomial, ...], reduced: bool = False):
+    def __init__(self, ring: PolyRing, basis: tuple[Polynomial, ...]):
         self.ring = ring
         self.basis = tuple(basis)
-        self.reduced = reduced
         self._colength = None
         self._dim = None
 

@@ -125,11 +125,13 @@ class HKRow:
     normalized_i: Fraction
     normalized_j: Fraction
     normalized_a: Fraction
+    corner: RIdeal
 
 
 @dataclass
 class ReciprocityReport:
     rows: list[HKRow]
+    linkage: LinkageDatum
     dim: int
     smith_identity_at_1: bool
     reciprocity_all_q: bool
@@ -182,7 +184,8 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
         len_i = L.I.bracket_power(q).colength()
         len_j = L.J.bracket_power(q).colength()
         len_a = L.a.bracket_power(q).colength()
-        len_corner = corner_power(L, q).colength()
+        corner = corner_power(L, q)
+        len_corner = corner.colength()
         dev = len_i - len_corner
         if dev < 0:
             raise IdentityViolation(f"negative deviation {dev} at q = {q}")
@@ -211,6 +214,7 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
                 normalized_i=rational(len_i, scale),
                 normalized_j=rational(len_j, scale),
                 normalized_a=rational(len_a, scale),
+                corner=corner,
             )
         )
     if n_max >= 1:
@@ -219,6 +223,7 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
         probe = pd_finite_probe(L)
     return ReciprocityReport(
         rows=rows,
+        linkage=L,
         dim=P.dim,
         smith_identity_at_1=rows[0].smith_ok,
         reciprocity_all_q=all(r.smith_ok for r in rows),

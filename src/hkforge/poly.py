@@ -165,14 +165,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
     return out
 
 
-def monomials_below_degree(nvars: int, bound: int) -> list[Exponents]:
-    """All exponent tuples of total degree < bound, degree by degree."""
-    out = []
-    for d in range(bound):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
-
-
 class PolyRing:
     """F_p[x_1..x_n] together with the active monomial order."""
 

@@ -1,9 +1,8 @@
 """Exact arithmetic: prime fields F_p and arbitrary-precision rationals.
 
 Field elements are plain integers in [0, p); the `PrimeField` object owns
-the modulus and does all reductions.  `FpElement` wraps a value together
-with its field for code that wants operator syntax and cross-field safety
-checks.  Rationals are `fractions.Fraction`, which already keeps the
+the modulus, inverses and powers, and callers reduce sums and products with
+``% p``.  Rationals are `fractions.Fraction`, which already keeps the
 canonical reduced form with a positive denominator.
 """
 
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, PreconditionViolated, RingMismatch
+from .errors import DivisionByZero, PreconditionViolated
 
 MAX_MODULUS = 2**31
 
@@ -54,18 +53,6 @@ class PrimeField:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""
         a %= self.p
@@ -93,86 +80,6 @@ class PrimeField:
             base = base * base % self.p
             e >>= 1
         return result
-
-    def element(self, value: int) -> "FpElement":
-        return FpElement(self, value)
-
-
-class FpElement:
-    """A value of F_p bound to its field; arithmetic rejects mixed moduli."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FpElement):
-            if other.field.p != self.field.p:
-                raise RingMismatch(
-                    f"mixed moduli {self.field.p} and {other.field.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, self.value + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, self.value - b)
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, b - self.value)
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, self.value * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(self.field, -self.value)
-
-    def __pow__(self, e: int):
-        return FpElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FpElement":
-        return FpElement(self.field, self.field.inv(self.value))
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self * FpElement(self.field, b).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
 
 
 def rational(num: int, den: int = 1) -> Fraction:

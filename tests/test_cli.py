@@ -4,6 +4,7 @@ import os
 import pytest
 
 import hkforge.cli as cli
+import hkforge.linkage as linkage
 from hkforge.errors import IdentityViolation
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -183,7 +184,16 @@ def test_reciprocity_json_verdicts(capsys):
     assert first["normalized_a"] == "2/1"
 
 
-def test_reciprocity_with_oracle(capsys):
+def test_reciprocity_with_oracle(capsys, monkeypatch):
+    # The oracle checks the ideals the report printed: the link is made once.
+    links = []
+
+    def counting_link(I, a, real=linkage.link):
+        links.append((I, a))
+        return real(I, a)
+
+    monkeypatch.setattr(linkage, "link", counting_link)
+    monkeypatch.setattr(cli, "link", counting_link)
     code, _ = run(
         capsys,
         "reciprocity",
@@ -198,6 +208,7 @@ def test_reciprocity_with_oracle(capsys):
         "--oracle",
     )
     assert code == 0
+    assert len(links) == 1
 
 
 def test_uncertified_oracle_is_a_resource_cap(capsys, monkeypatch):

@@ -1,10 +1,13 @@
-"""Differential tests: the dict-and-heap kernels against the plain loops
-they replaced, kept here as references.
+"""Differential tests: the dict-and-heap kernels and the grown Macaulay
+frame against the plain code they replaced, kept here as references.
 
 ``reference_normal_form`` is the re-sorting reduction loop (``work - step``
 on whole polynomials), and ``reference_substitute`` builds the image of
 every term from powers of the image polynomials.  The new kernels must give
 identical polynomials and charge the term budget identically.
+``reference_frame`` is the dense Macaulay frame rebuilt at every degree
+bound D, with truncated rows and the leading monomial as pivot; the grown
+frame must give the same colengths, memberships and certified values.
 """
 
 from hypothesis import given, settings
@@ -12,7 +15,14 @@ from hypothesis import strategies as st
 
 from hkforge.groebner import _Budget, buchberger, normal_form
 from hkforge.invariants import group_closure, reynolds
-from hkforge.poly import MonomialOrder, PolyRing, exponents_divide, exponents_sub
+from hkforge.oracle import MacaulayFrame, colength_bruteforce
+from hkforge.poly import (
+    MonomialOrder,
+    PolyRing,
+    exponents_divide,
+    exponents_sub,
+    monomials_of_degree,
+)
 
 PRIMES = (2, 3, 5, 7, 101)
 NAMES = ("x", "y", "z", "w")
@@ -54,6 +64,53 @@ def reference_substitute(f, matrix):
                 part = part * images[j] ** exp
         result = result + part
     return result
+
+
+def reference_frame(R, gens, bound):
+    """Dense frame at one bound: (colength of I + m^bound, membership test)."""
+    p = R.p
+    basis = sorted(
+        (e for d in range(bound) for e in monomials_of_degree(R.n, d)),
+        key=R.order.key,
+        reverse=True,
+    )
+    column = {e: i for i, e in enumerate(basis)}
+    pivots = {}
+
+    def reduce(f):
+        v = [0] * len(basis)
+        for e, c in f.terms:
+            if e in column:
+                v[column[e]] = c
+        for j in range(len(v)):
+            if v[j] and j not in pivots:
+                return v, j
+            if v[j]:
+                v = [(a - v[j] * b) % p for a, b in zip(v, pivots[j])]
+        return v, None
+
+    for g in gens:
+        if g.is_zero():
+            continue
+        low = min(sum(e) for e, _ in g.terms)
+        for d in range(max(bound - low, 0)):
+            for m in monomials_of_degree(R.n, d):
+                v, j = reduce(g.multiply_monomial(m, 1))
+                if j is not None:
+                    inv = pow(v[j], -1, p)
+                    pivots[j] = [a * inv % p for a in v]
+    return len(basis) - len(pivots), lambda f: reduce(f)[1] is None
+
+
+def reference_colength_bruteforce(R, gens, d_max):
+    prev, prev_pure = None, False
+    for bound in range(2, d_max + 1):
+        value, contains = reference_frame(R, gens, bound)
+        if value == prev and prev_pure:
+            return value
+        prev = value
+        prev_pure = all(contains(R.variable(i) ** (bound - 1)) for i in range(R.n))
+    return None
 
 
 @st.composite
@@ -153,3 +210,23 @@ def test_reynolds_is_the_naive_orbit_sum(group, data):
     degree = max(f.total_degree(), 0) + data.draw(st.integers(0, 2))
     tables = [R.linear_powers(m, degree) for m in G.elements]
     assert reynolds(f, G, tables) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings(max_vars=3), st.data())
+def test_grown_frame_matches_dense_reference(R, data):
+    gens = data.draw(st.lists(polys(R, max_terms=3, max_exp=3), min_size=1, max_size=3))
+    # Pure powers make the ideal m-primary, so the colength often certifies by d_max.
+    powers = data.draw(st.lists(st.integers(1, 5), min_size=R.n, max_size=R.n))
+    if data.draw(st.booleans()):
+        gens = gens + [R.variable(i) ** k for i, k in enumerate(powers)]
+    probes = data.draw(st.lists(polys(R, max_terms=3, max_exp=4), max_size=4))
+    d_max = 7
+    assert colength_bruteforce(R, gens, d_max=d_max) == reference_colength_bruteforce(R, gens, d_max)
+    frame = MacaulayFrame(R, gens, 1)
+    for bound in range(1, d_max + 1):
+        if bound > 1:
+            frame.grow()
+        colength, contains = reference_frame(R, gens, bound)
+        assert frame.colength == colength
+        assert [frame.contains(f) for f in probes] == [contains(f) for f in probes]

@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hkforge
 from hkforge.errors import PreconditionViolated, ResourceCap
 from hkforge.oracle import (
     MacaulayFrame,
@@ -88,3 +92,48 @@ def test_rank_and_vector_roundtrip():
     assert frame.contains(x + y)
     assert frame.contains((x + y) * x)
     assert not frame.contains(x)
+
+
+def test_grown_frame_equals_fresh_frame():
+    rng = random.Random(7)
+    for p, names in ((2, ("x",)), (5, ("x", "y")), (3, ("x", "y", "z"))):
+        R = PolyRing(p, names)
+        for _ in range(6):
+            gens = [
+                R.from_terms(
+                    (tuple(rng.randint(0, 3) for _ in names), rng.randint(1, p - 1))
+                    for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            probes = [g * R.variable(0) + R.variable(len(names) - 1) ** 2 for g in gens]
+            start, k = rng.randint(1, 3), rng.randint(1, 4)
+            grown = MacaulayFrame(R, gens, start)
+            for _ in range(k):
+                grown.grow()
+            fresh = MacaulayFrame(R, gens, start + k)
+            assert grown.bound == fresh.bound == start + k
+            below = lambda frame: {e for e in frame.pivots if e[0] < frame.bound}
+            assert below(grown) == below(fresh)
+            assert grown.colength == fresh.colength == colength_truncated(R, gens, start + k)
+            assert [grown.contains(f) for f in probes] == [fresh.contains(f) for f in probes]
+
+
+def test_growing_past_the_column_cap_trips():
+    R = PolyRing(5, ("a", "b", "c"))
+    frame = MacaulayFrame(R, [R.variable(0) ** 60], 48)
+    with pytest.raises(ResourceCap, match="20825 truncation columns exceed 20000"):
+        frame.grow()
+
+
+def test_import_leaves_numpy_out():
+    src = Path(hkforge.__file__).resolve().parents[1]
+    code = "import sys, hkforge, hkforge.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
