@@ -5,6 +5,19 @@ ties broken by pair index, so runs are deterministic.  Every basis element
 is kept monic and the final basis is interreduced, which makes reduced
 bases canonical and ideal equality a tuple comparison.
 
+Pairs are queued by the Gebauer-Moeller update (Gebauer and Moeller, JSC 6,
+1988; Becker and Weispfenning, Groebner Bases, section 5.5), run once for
+each input generator and once for each new remainder h.  It works over a
+live set: the basis elements whose leading terms no later element divides.
+A new pair (g, h), g live, is dropped when the lcm of a new pair not yet
+checked or already kept divides its lcm (criterion M; of equal lcms one is
+kept), and then when LT(g) and LT(h) are coprime (criterion F).  A queued
+pair (a, b) is dropped when LT(h) divides lcm(a, b) and that lcm differs
+from lcm(a, h) and from lcm(b, h) (criterion B_k).  Then every g with
+LT(h) | LT(g) leaves the live set, though not the basis, which reductions
+still use.  Only the pairs kept are reduced, and only those count against
+the pair budget.
+
 Reduction (``normal_form``) keeps its working polynomial as a term dict
 and a heap ordered by ``MonomialOrder.heap_key``; it sorts nothing, and the
 remainder comes out already in order.  Polynomials are built sorted once per
@@ -171,7 +184,7 @@ def buchberger(
 ) -> "GroebnerBasis":
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Budget overruns (processed pairs past max_pairs, or reduction work past
+    Budget overruns (reduced pairs past max_pairs, or reduction work past
     max_terms) raise ResourceCap rather than hang.
     """
     if max_pairs is None:
@@ -180,46 +193,53 @@ def buchberger(
         max_terms = default_max_terms()
     for g in gens:
         ring.check_same(g.ring)
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    if not basis:
-        return GroebnerBasis(ring, ())
     budget = _Budget(max_terms)
-    seen = set()
-    work: list[Polynomial] = []
-    for g in basis:
-        if g not in seen:
-            seen.add(g)
-            work.append(g)
-    basis = work
-    lts = [g.leading_exponents() for g in basis]
+    basis: list[Polynomial] = []
+    lts: list[Exponents] = []
+    live: list[int] = []
+    # (sum(lcm), i, j, lcm) with i < j; the first three entries are the key.
+    heap: list[tuple[int, int, int, Exponents]] = []
 
-    heap: list[tuple[int, int, int]] = []
+    def update(h: Polynomial):
+        """Gebauer-Moeller UPDATE: add h and queue only the pairs kept."""
+        nonlocal heap, live
+        k = len(basis)
+        t = h.leading_exponents()
+        basis.append(h)
+        lts.append(t)
+        candidates = [(i, exponents_lcm(lts[i], t), not any(map(min, lts[i], t))) for i in live]
+        # Criterion M: a candidate goes when the lcm of a later candidate or of
+        # one already kept divides its own; coprime candidates stay, so that
+        # they still rule out the others, and criterion F drops them below.
+        kept = []
+        for pos, (i, gamma, coprime) in enumerate(candidates):
+            rivals = candidates[pos + 1 :] + kept
+            if coprime or not any(exponents_divide(r[1], gamma) for r in rivals):
+                kept.append((i, gamma, coprime))
+        # Criterion B_k: LT(h) divides lcm(a, b) and differs from both other lcms.
+        heap = [
+            entry
+            for entry in heap
+            if not exponents_divide(t, entry[3])
+            or exponents_lcm(lts[entry[1]], t) == entry[3]
+            or exponents_lcm(lts[entry[2]], t) == entry[3]
+        ]
+        heap.extend((sum(gamma), i, k, gamma) for i, gamma, coprime in kept if not coprime)
+        heapq.heapify(heap)
+        live = [i for i in live if not exponents_divide(t, lts[i])] + [k]
 
-    def push_pairs(j: int):
-        for i in range(j):
-            gamma = exponents_lcm(lts[i], lts[j])
-            heapq.heappush(heap, (sum(gamma), i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in dict.fromkeys(g.monic() for g in gens if not g.is_zero()):
+        update(g)
 
     processed = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, _ = heapq.heappop(heap)
         processed += 1
         if processed > max_pairs:
             raise ResourceCap(f"pair budget {max_pairs} exhausted")
-        a, b = lts[i], lts[j]
-        # Coprime leading terms: the S-polynomial always reduces to zero.
-        if all(min(x, y) == 0 for x, y in zip(a, b)):
-            continue
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis, budget)
-        if remainder.is_zero():
-            continue
-        remainder = remainder.monic()
-        basis.append(remainder)
-        lts.append(remainder.leading_exponents())
-        push_pairs(len(basis) - 1)
+        if not remainder.is_zero():
+            update(remainder.monic())
 
     return GroebnerBasis(ring, _interreduce(ring, basis))
 

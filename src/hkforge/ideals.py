@@ -119,18 +119,24 @@ class Ideal:
         return Ideal(ring, kept)
 
     def colon(self, other: "Ideal") -> "Ideal":
-        """(I : J) as the intersection over generators g of (I cap (g))/g."""
+        """(I : J) as the intersection over generators g of (I cap (g))/g.
+
+        A generator g in I has (I : (g)) = (1), the identity for the
+        intersection, so it is skipped; when every g is in I the colon is (1).
+        """
         self.ring.check_same(other.ring)
         if other.is_zero():
             raise PreconditionViolated("colon by the zero ideal")
         result: Optional[Ideal] = None
         for g in other.gens:
+            if self.contains(g):
+                continue
             part = Ideal(
                 self.ring,
                 [_exact_divide(h, g) for h in self.intersect(Ideal(self.ring, [g])).groebner().basis],
             )
             result = part if result is None else result.intersect(part)
-        return result
+        return result if result is not None else Ideal(self.ring, [self.ring.one()])
 
     def reduced_generators(self) -> list[str]:
         return [str(g) for g in self.groebner().basis]

@@ -166,8 +166,10 @@ def hk_table(I: RIdeal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
 def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
     """One row per q = p^n with all four lengths and both identities.
 
-    The corner identity len_corner + len_J = len_a must hold on every row
-    and the q = 1 row must satisfy len_I + len_J = len_a; violations raise
+    The corner identity len_corner + len_J = len_a and the parameter-ideal
+    identity len_a(q) = q^dim * len_a(1) (a^[q] is again a system of
+    parameters of the Cohen-Macaulay ring R) must hold on every row, and the
+    q = 1 row must satisfy len_I + len_J = len_a; violations raise
     IdentityViolation.  Reciprocity at higher q is recorded, not enforced:
     its failure is exactly the infinite-projective-dimension signal.
     """
@@ -184,6 +186,12 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
         len_i = L.I.bracket_power(q).colength()
         len_j = L.J.bracket_power(q).colength()
         len_a = L.a.bracket_power(q).colength()
+        scale = q**P.dim
+        if rows and len_a != scale * rows[0].len_a:
+            raise IdentityViolation(
+                f"parameter-ideal identity fails at q = {q}: "
+                f"{len_a} != {scale} * {rows[0].len_a}"
+            )
         corner = corner_power(L, q)
         len_corner = corner.colength()
         dev = len_i - len_corner
@@ -199,7 +207,6 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
             raise IdentityViolation(
                 f"length identity fails at q = 1: {len_i} + {len_j} != {len_a}"
             )
-        scale = q**P.dim
         rows.append(
             HKRow(
                 n=n,

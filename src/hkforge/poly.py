@@ -16,7 +16,7 @@ whose top is the greatest monomial (see ``groebner.normal_form``).
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import add, le, neg
 from typing import Iterable, Sequence
 
 from .errors import NotAPowerOfP, PreconditionViolated, ResourceCap, RingMismatch
@@ -124,11 +124,11 @@ class MonomialOrder:
 
 def exponents_divide(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exponents_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exponents_add(a: Exponents, b: Exponents) -> Exponents:

@@ -1,5 +1,6 @@
-"""Differential tests: the dict-and-heap kernels and the grown Macaulay
-frame against the plain code they replaced, kept here as references.
+"""Differential tests: the dict-and-heap kernels, the Gebauer-Moeller pair
+update and the grown Macaulay frame against the plain code they replaced,
+kept here as references.
 
 ``reference_normal_form`` is the re-sorting reduction loop (``work - step``
 on whole polynomials), and ``reference_substitute`` builds the image of
@@ -8,18 +9,26 @@ identical polynomials and charge the term budget identically.
 ``reference_frame`` is the dense Macaulay frame rebuilt at every degree
 bound D, with truncated rows and the leading monomial as pivot; the grown
 frame must give the same colengths, memberships and certified values.
+``reference_buchberger`` queues every pair and skips a coprime one when it is
+popped; ``buchberger`` must return the identical reduced basis.
 """
 
-from hypothesis import given, settings
+import heapq
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hkforge.groebner import _Budget, buchberger, normal_form
+from hkforge import groebner
+from hkforge.errors import ResourceCap
+from hkforge.groebner import _Budget, _interreduce, buchberger, normal_form, s_polynomial
 from hkforge.invariants import group_closure, reynolds
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import (
     MonomialOrder,
     PolyRing,
     exponents_divide,
+    exponents_lcm,
     exponents_sub,
     monomials_of_degree,
 )
@@ -48,6 +57,26 @@ def reference_normal_form(f, basis, budget=None):
                 budget.charge(len(step.terms))
             work = work - step
     return f.ring.from_terms(tail)
+
+
+def reference_buchberger(ring, gens, max_terms):
+    budget = _Budget(max_terms)
+    basis = list(dict.fromkeys(g.monic() for g in gens if not g.is_zero()))
+    lts = [g.leading_exponents() for g in basis]
+    heap = [(sum(exponents_lcm(lts[i], lts[j])), i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if all(min(x, y) == 0 for x, y in zip(lts[i], lts[j])):
+            continue
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis, budget)
+        if remainder.is_zero():
+            continue
+        basis.append(remainder.monic())
+        lts.append(remainder.leading_exponents())
+        for i in range(len(basis) - 1):
+            heapq.heappush(heap, (sum(exponents_lcm(lts[i], lts[-1])), i, len(basis) - 1))
+    return _interreduce(ring, basis)
 
 
 def reference_substitute(f, matrix):
@@ -230,3 +259,44 @@ def test_grown_frame_matches_dense_reference(R, data):
         colength, contains = reference_frame(R, gens, bound)
         assert frame.colength == colength
         assert [frame.contains(f) for f in probes] == [contains(f) for f in probes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings(max_vars=3), st.data())
+def test_buchberger_matches_all_pairs_reference(R, data):
+    gens = data.draw(st.lists(polys(R, max_terms=4, max_exp=3), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        powers = data.draw(st.lists(st.integers(1, 4), min_size=R.n, max_size=R.n))
+        gens = gens + [R.variable(i) ** k for i, k in enumerate(powers)]
+    try:
+        expected = reference_buchberger(R, gens, max_terms=20_000)
+    except ResourceCap:
+        assume(False)
+    # The basis is the distinct monic inputs, then each nonzero remainder.
+    lts = [g.leading_exponents() for g in dict.fromkeys(g.monic() for g in gens if not g.is_zero())]
+    queued = []
+    heapify, heappush = heapq.heapify, heapq.heappush
+
+    # Pair queue entries start (sum(lcm), i, j); reduction heaps hold pairs.
+    def heapify_spy(heap):
+        queued.extend(entry[1:3] for entry in heap if len(entry) > 2)
+        heapify(heap)
+
+    def heappush_spy(heap, entry):
+        if len(entry) > 2:
+            queued.append(entry[1:3])
+        heappush(heap, entry)
+
+    def normal_form_spy(f, basis, budget=None):
+        remainder = normal_form(f, basis, budget)
+        if budget is not None and not remainder.is_zero():
+            lts.append(remainder.leading_exponents())
+        return remainder
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heapq, "heapify", heapify_spy)
+        mp.setattr(heapq, "heappush", heappush_spy)
+        mp.setattr(groebner, "normal_form", normal_form_spy)
+        G = buchberger(R, gens, max_terms=200_000)
+    assert G.basis == expected
+    assert all(i < j and any(map(min, lts[i], lts[j])) for i, j in set(queued))

@@ -188,6 +188,27 @@ def test_resource_caps_trip():
         buchberger(R, gens, max_terms=2)
 
 
+def test_pair_budget_counts_only_reduced_pairs():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    # Coprime leading terms: the one pair is discarded, never reduced.
+    assert buchberger(R, [x**2 + y, y**3], max_pairs=0).colength() == 6
+
+
+@pytest.mark.parametrize(
+    "order", [MonomialOrder.lex(), MonomialOrder.elim(2), MonomialOrder("grevlex")]
+)
+def test_lex_and_elim_finish_on_a_zero_dimensional_ideal(order):
+    # Queuing every pair spent the default term budget under lex and elim(2).
+    R = PolyRing(3, ("x", "y", "z"), order)
+    x, y, z = (R.variable(i) for i in range(3))
+    gens = [x**2 + y**2 * z + y * z**2, x**2 * y**2 + x * z**2 + 1, x**2 * y * z**2 + 2 * x**2 + 1]
+    G = buchberger(R, gens)
+    assert G.colength() == 27
+    assert G.verify()
+    assert all(G.contains(g) for g in gens)
+
+
 def test_staircase_is_an_antichain():
     R = ring2()
     x, y = R.variable(0), R.variable(1)

@@ -69,6 +69,33 @@ def test_colon_galois_connection_and_antitonicity():
         assert I.colon(J).contains_ideal(I.colon(J_ext))
 
 
+def test_colon_by_an_ideal_inside_i_is_the_unit_ideal(monkeypatch):
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    I = Ideal.of(x**2, x * y, y**3)
+    calls = []
+    intersect = Ideal.intersect
+    monkeypatch.setattr(
+        Ideal, "intersect", lambda self, other: calls.append(1) or intersect(self, other)
+    )
+    Q = I.colon(Ideal.of(x**2, x * y + y**3, x**3))
+    assert calls == []
+    assert Q.groebner().basis == (R.one(),)
+    assert Q.is_unit()
+
+
+def test_colon_skips_generators_inside_i():
+    rng = random.Random(22)
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    for _ in range(6):
+        I = Ideal.of(x ** rng.randint(1, 3), y ** rng.randint(1, 3), x * y)
+        outside = [g for g in (x + rng.randint(1, 4) * y, y, R.one()) if not I.contains(g)]
+        inside = [f * x * y for f in (x, R.one(), y + 2)]
+        mixed = inside[:1] + outside + inside[1:]
+        assert I.colon(Ideal(R, mixed)).equals(I.colon(Ideal(R, outside)))
+
+
 def test_bracket_power_examples():
     R2 = PolyRing(2, ("x", "y"))
     assert R2.variable(0) ** 2 in set(

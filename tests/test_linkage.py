@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hkforge.errors import IdentityViolation, PreconditionViolated
-from hkforge.ideals import QuotientPresentation
+from hkforge.ideals import QuotientPresentation, RIdeal
 from hkforge.linkage import (
     FINITE,
     INFINITE_PD,
@@ -208,6 +208,20 @@ def test_reciprocity_sphere_report_frozen_values():
     assert rep.rows[1].normalized_i == Fraction(2)
     assert rep.rows[1].normalized_j == Fraction(4)
     assert rep.rows[1].normalized_a == Fraction(6)
+
+
+def test_parameter_ideal_identity_is_asserted(monkeypatch):
+    R, P = free2()
+    x, y = R.variable(0), R.variable(1)
+    I, a = P.ideal([x, y]), P.ideal([x**2, y**2])
+    assert [r.len_a for r in reciprocity_report(I, a, 1).rows] == [4, 100]
+    a5 = a.bracket_power(5).gens
+    colength = RIdeal.colength
+    monkeypatch.setattr(
+        RIdeal, "colength", lambda self: colength(self) + (self.gens == a5)
+    )
+    with pytest.raises(IdentityViolation, match="parameter-ideal identity fails at q = 5"):
+        reciprocity_report(I, a, 1)
 
 
 def test_reciprocity_rejects_zero_dimensional_rings():
