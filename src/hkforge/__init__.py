@@ -18,7 +18,7 @@ from .errors import (
     UnknownVariable,
 )
 from .groebner import GroebnerBasis, INFINITE, buchberger, normal_form, s_polynomial
-from .ideals import Ideal, QuotientPresentation, RIdeal
+from .ideals import Ideal, QuotientPresentation
 from .invariants import (
     MatrixGroup,
     group_closure,
@@ -69,7 +69,6 @@ __all__ = [
     "PrimeField",
     "ProblemFile",
     "QuotientPresentation",
-    "RIdeal",
     "ReciprocityReport",
     "ResourceCap",
     "RingMismatch",

@@ -1,9 +1,13 @@
 """Ideal-level calculus and complete-intersection quotient presentations.
 
-Ideals in a quotient ring R = S/C are never reduced mod C; they are carried
-as lifts in S that contain the presentation generators.  Colengths, colons,
-brackets and equality tests all happen on lifts, which is exact for the
-m-primary ideals this package accepts.
+One class, `Ideal`, covers ideals of S and of a quotient R = S/C.  An ideal
+of R is its own generators plus the `QuotientPresentation` it lives over
+(None for S itself); it is never reduced mod C.  Every query (Groebner
+basis, membership, equality, colength, dimension) runs on its lift, the
+generators followed by the relations of C, which is exact for the m-primary
+ideals this package accepts.  A bracket power raises only the generators, so
+C stays un-bracketed, and a colon comes back over the presentation of the
+dividend.  `intersect` returns an ideal of S.
 """
 
 from __future__ import annotations
@@ -17,15 +21,22 @@ from .poly import MonomialOrder, Polynomial, PolyRing, exponents_divide, exponen
 
 
 class Ideal:
-    """An ideal of a polynomial ring, with a per-order Groebner cache."""
+    """An ideal of S, or of R = S/C over `presentation`, with a per-order
+    Groebner cache of its lift."""
 
-    __slots__ = ("ring", "gens", "_cache")
+    __slots__ = ("ring", "gens", "presentation", "_cache")
 
-    def __init__(self, ring: PolyRing, gens: Sequence[Polynomial]):
+    def __init__(
+        self,
+        ring: PolyRing,
+        gens: Sequence[Polynomial],
+        presentation: Optional["QuotientPresentation"] = None,
+    ):
         for g in gens:
             ring.check_same(g.ring)
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
+        self.presentation = presentation
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
 
     @classmethod
@@ -37,13 +48,20 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
+    @property
+    def lift_gens(self) -> tuple[Polynomial, ...]:
+        """Generators of the preimage in S: own generators, then C."""
+        if self.presentation is None:
+            return self.gens
+        return self.gens + self.presentation.ci_gens
+
     def groebner(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
         order = order if order is not None else self.ring.order
         cached = self._cache.get(order)
         if cached is not None:
             return cached
         ring = self.ring.with_order(order)
-        basis = buchberger(ring, [ring.convert(g) for g in self.gens])
+        basis = buchberger(ring, [ring.convert(g) for g in self.lift_gens])
         self._cache[order] = basis
         return basis
 
@@ -61,7 +79,7 @@ class Ideal:
         return self.groebner().basis == other.groebner().basis
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.lift_gens
 
     def is_unit(self) -> bool:
         return self.groebner().is_unit_ideal()
@@ -83,18 +101,18 @@ class Ideal:
 
     def plus(self, other: "Ideal") -> "Ideal":
         self.ring.check_same(other.ring)
-        return Ideal(self.ring, self.gens + other.gens)
-
-    def times(self, other: "Ideal") -> "Ideal":
-        self.ring.check_same(other.ring)
-        return Ideal(self.ring, tuple(f * g for f in self.gens for g in other.gens))
+        return Ideal(self.ring, self.gens + other.gens, self.presentation)
 
     def bracket_power(self, q: int) -> "Ideal":
+        """{g^q} + C over R: independent of the chosen lifts."""
         self.ring.bracket_level(q)
-        return Ideal(self.ring, tuple(g.frobenius_power(q) for g in self.gens))
+        return Ideal(
+            self.ring, tuple(g.frobenius_power(q) for g in self.gens), self.presentation
+        )
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J: eliminate t from t*I + (1-t)*J in S[t]."""
+        """Lift of I cap lift of J, an ideal of S: eliminate t from
+        t*I + (1-t)*J in S[t]."""
         self.ring.check_same(other.ring)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
@@ -109,8 +127,8 @@ class Ideal:
 
         t = ext.variable(0)
         one_minus_t = ext.one() - t
-        gens = [t * embed(g) for g in self.gens]
-        gens += [one_minus_t * embed(g) for g in other.gens]
+        gens = [t * embed(g) for g in self.lift_gens]
+        gens += [one_minus_t * embed(g) for g in other.lift_gens]
         G = buchberger(ext, gens)
         kept = []
         for g in G.basis:
@@ -121,14 +139,16 @@ class Ideal:
     def colon(self, other: "Ideal") -> "Ideal":
         """(I : J) as the intersection over generators g of (I cap (g))/g.
 
-        A generator g in I has (I : (g)) = (1), the identity for the
-        intersection, so it is skipped; when every g is in I the colon is (1).
+        The g run over the lift of J and the result lives over the
+        presentation of I.  A generator g in I has (I : (g)) = (1), the
+        identity for the intersection, so it is skipped; when every g is in I
+        the colon is (1).
         """
         self.ring.check_same(other.ring)
         if other.is_zero():
             raise PreconditionViolated("colon by the zero ideal")
         result: Optional[Ideal] = None
-        for g in other.gens:
+        for g in other.lift_gens:
             if self.contains(g):
                 continue
             part = Ideal(
@@ -136,7 +156,8 @@ class Ideal:
                 [_exact_divide(h, g) for h in self.intersect(Ideal(self.ring, [g])).groebner().basis],
             )
             result = part if result is None else result.intersect(part)
-        return result if result is not None else Ideal(self.ring, [self.ring.one()])
+        gens = result.gens if result is not None else (self.ring.one(),)
+        return Ideal(self.ring, gens, self.presentation)
 
     def reduced_generators(self) -> list[str]:
         return [str(g) for g in self.groebner().basis]
@@ -186,11 +207,11 @@ class QuotientPresentation:
         rel = ", ".join(str(g) for g in self.ci_gens)
         return f"{self.ring!r}/({rel})" if rel else f"{self.ring!r}"
 
-    def ideal(self, gens: Sequence[Polynomial]) -> "RIdeal":
-        return RIdeal(self, tuple(gens))
+    def ideal(self, gens: Sequence[Polynomial]) -> Ideal:
+        return Ideal(self.ring, gens, self)
 
-    def zero_ideal(self) -> "RIdeal":
-        return RIdeal(self, ())
+    def zero_ideal(self) -> Ideal:
+        return Ideal(self.ring, (), self)
 
     def is_isolated_singularity(self) -> bool:
         """Jacobian criterion: C + (c x c minors) has finite colength or is (1)."""
@@ -207,14 +228,11 @@ class QuotientPresentation:
         G = sing.groebner()
         return G.is_unit_ideal() or G.colength() != INFINITE
 
-    def is_full_ci(self, gens: Sequence[Polynomial]) -> bool:
-        """dim-R many elements generating an m-primary R-ideal."""
-        if not gens:
+    def is_full_ci(self, ideal: Ideal) -> bool:
+        """Is `ideal` dim-R many elements generating an m-primary R-ideal?"""
+        if not ideal.gens or len(ideal.gens) != self.dim:
             return False
-        if len(gens) != self.dim:
-            return False
-        lift = self.ideal(gens)
-        return lift.colength() != INFINITE and not lift.is_unit()
+        return ideal.colength() != INFINITE and not ideal.is_unit()
 
 
 def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -231,51 +249,3 @@ def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
         term = entry * _determinant(minor)
         result = result + (term if j % 2 == 0 else -term)
     return result
-
-
-class RIdeal:
-    """An ideal of R = S/C stored as its lift gens + C in the ambient ring."""
-
-    __slots__ = ("presentation", "gens", "lift")
-
-    def __init__(self, presentation: QuotientPresentation, gens: Sequence[Polynomial]):
-        self.presentation = presentation
-        self.gens = tuple(g for g in gens if not g.is_zero())
-        self.lift = Ideal(presentation.ring, self.gens + presentation.ci_gens)
-
-    def __repr__(self):
-        return f"RIdeal({', '.join(str(g) for g in self.gens) or '0'})"
-
-    def colength(self):
-        """Length of R over the quotient: counted on the lift."""
-        return self.lift.colength()
-
-    def is_unit(self) -> bool:
-        return self.lift.is_unit()
-
-    def is_m_primary(self) -> bool:
-        if self.is_unit():
-            raise EmptyVariety("the unit ideal is not proper")
-        return self.colength() != INFINITE
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.lift.contains(f)
-
-    def contains_ideal(self, other: "RIdeal") -> bool:
-        return all(self.lift.contains(g) for g in other.gens)
-
-    def equals(self, other: "RIdeal") -> bool:
-        return self.lift.equals(other.lift)
-
-    def bracket_power(self, q: int) -> "RIdeal":
-        """Lift of the R-bracket power: {g^q} + C, independent of chosen lifts."""
-        self.presentation.ring.bracket_level(q)
-        return RIdeal(self.presentation, tuple(g.frobenius_power(q) for g in self.gens))
-
-    def colon(self, other: "RIdeal") -> "RIdeal":
-        """(self : other) over R, computed as the colon of lifts."""
-        result = self.lift.colon(other.lift)
-        return RIdeal(self.presentation, result.groebner().basis)
-
-    def reduced_generators(self) -> list[str]:
-        return self.lift.reduced_generators()

@@ -25,7 +25,7 @@ from .errors import (
     ResourceCap,
 )
 from .groebner import INFINITE
-from .ideals import QuotientPresentation, RIdeal
+from .ideals import Ideal, QuotientPresentation
 from .scalar import rational
 
 FINITE = "finite"
@@ -35,12 +35,9 @@ INFINITE_PD = "infinite"
 @dataclass
 class LinkageDatum:
     presentation: QuotientPresentation
-    I: RIdeal
-    a: RIdeal
-    J: RIdeal
-    a_inside_i: bool
-    m_primary: bool
-    double_link: bool
+    I: Ideal
+    a: Ideal
+    J: Ideal
     degenerate: bool
 
     @property
@@ -48,12 +45,12 @@ class LinkageDatum:
         return self.I.equals(self.J)
 
 
-def link(I: RIdeal, a: RIdeal) -> LinkageDatum:
-    """J = (a : I), with every linkage precondition checked and recorded."""
+def link(I: Ideal, a: Ideal) -> LinkageDatum:
+    """J = (a : I), with every linkage precondition and (a : J) = I checked."""
     P = I.presentation
     if a.presentation.ring != P.ring or a.presentation.ci_gens != P.ci_gens:
         raise PreconditionViolated("I and a live over different presentations")
-    if not P.is_full_ci(a.gens):
+    if not P.is_full_ci(a):
         raise PreconditionViolated(
             f"a must be {P.dim} elements generating an m-primary ideal"
         )
@@ -71,14 +68,11 @@ def link(I: RIdeal, a: RIdeal) -> LinkageDatum:
         I=I,
         a=a,
         J=J,
-        a_inside_i=True,
-        m_primary=True,
-        double_link=True,
         degenerate=degenerate,
     )
 
 
-def corner_power(L: LinkageDatum, q: int) -> RIdeal:
+def corner_power(L: LinkageDatum, q: int) -> Ideal:
     """(a^[q] : J^[q]); q = 1 returns I itself by double linkage."""
     return L.a.bracket_power(q).colon(L.J.bracket_power(q))
 
@@ -125,7 +119,7 @@ class HKRow:
     normalized_i: Fraction
     normalized_j: Fraction
     normalized_a: Fraction
-    corner: RIdeal
+    corner: Ideal
 
 
 @dataclass
@@ -137,13 +131,11 @@ class ReciprocityReport:
     reciprocity_all_q: bool
     pd_probe: str
     isolated_singularity: bool
-    full_ci: bool
-    m_primary: bool
     degenerate: bool
     self_linked: bool
 
 
-def hk_table(I: RIdeal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
+def hk_table(I: Ideal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
     """Rows (n, q, colength of I^[q], colength/q^dim) for n = 0..n_max."""
     if n_max < 0:
         raise PreconditionViolated("n_max must be >= 0")
@@ -163,7 +155,7 @@ def hk_table(I: RIdeal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
     return rows
 
 
-def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
+def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     """One row per q = p^n with all four lengths and both identities.
 
     The corner identity len_corner + len_J = len_a and the parameter-ideal
@@ -236,8 +228,6 @@ def reciprocity_report(I: RIdeal, a: RIdeal, n_max: int) -> ReciprocityReport:
         reciprocity_all_q=all(r.smith_ok for r in rows),
         pd_probe=probe,
         isolated_singularity=P.is_isolated_singularity(),
-        full_ci=True,
-        m_primary=True,
         degenerate=L.degenerate,
         self_linked=L.self_linked,
     )
@@ -250,7 +240,7 @@ class ParityReport:
     total_length: int
 
 
-def gorenstein_parity_check(P: QuotientPresentation, I: RIdeal) -> ParityReport:
+def gorenstein_parity_check(P: QuotientPresentation, I: Ideal) -> ParityReport:
     """Over a zero-dimensional CI quotient: if (0 : I) = I then len(R) is even.
 
     A non-self-linked I is reported, not errored; an odd length for a

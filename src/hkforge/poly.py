@@ -131,10 +131,6 @@ def exponents_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def exponents_add(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def exponents_sub(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x - y for x, y in zip(a, b))
 

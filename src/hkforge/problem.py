@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, PreconditionViolated
-from .ideals import QuotientPresentation, RIdeal
+from .ideals import Ideal, QuotientPresentation
 from .parsing import parse_polynomial
 from .poly import MonomialOrder, PolyRing
 
@@ -36,10 +36,10 @@ _KNOWN_KEYS = {"p", "vars", "order", "quotient", "ideals", "group"}
 class ProblemFile:
     ring: PolyRing
     presentation: QuotientPresentation
-    ideals: dict[str, RIdeal]
+    ideals: dict[str, Ideal]
     group: Optional[list[list[list[int]]]]
 
-    def ideal(self, name: str) -> RIdeal:
+    def ideal(self, name: str) -> Ideal:
         if name not in self.ideals:
             raise ParseError(
                 f"no ideal named {name!r}; available: {sorted(self.ideals) or 'none'}"
@@ -83,7 +83,7 @@ def problem_from_dict(data) -> ProblemFile:
     raw_ideals = data.get("ideals", {})
     if not isinstance(raw_ideals, dict):
         raise ParseError("'ideals' must be an object of name -> generator list")
-    ideals: dict[str, RIdeal] = {}
+    ideals: dict[str, Ideal] = {}
     for name, gens in raw_ideals.items():
         if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
             raise ParseError(f"ideal {name!r} must be a list of polynomial strings")

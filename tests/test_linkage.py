@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hkforge import ideals
 from hkforge.errors import IdentityViolation, PreconditionViolated
-from hkforge.ideals import QuotientPresentation, RIdeal
+from hkforge.ideals import Ideal, QuotientPresentation
 from hkforge.linkage import (
     FINITE,
     INFINITE_PD,
@@ -43,7 +44,7 @@ def test_link_regular_example():
     x, y = R.variable(0), R.variable(1)
     L = link(P.ideal([x, y]), P.ideal([x**2, y**2]))
     assert L.J.equals(P.ideal([x**2, x * y, y**2]))
-    assert L.double_link and not L.degenerate and not L.self_linked
+    assert not L.degenerate and not L.self_linked
 
 
 def test_link_node_is_self_linked():
@@ -51,6 +52,21 @@ def test_link_node_is_self_linked():
     L = link(I, a)
     assert L.J.equals(I)
     assert L.self_linked
+
+
+@pytest.mark.parametrize("fixture", [node, sphere], ids=["node", "sphere"])
+def test_link_runs_buchberger_on_the_lift_of_a_once(monkeypatch, fixture):
+    _, P, I, a = fixture()
+    runs = []
+    buchberger = ideals.buchberger
+
+    def spy(ring, gens):
+        runs.append(tuple(gens))
+        return buchberger(ring, gens)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    link(I, a)
+    assert runs.count(a.gens + P.ci_gens) == 1
 
 
 def test_degenerate_link():
@@ -177,7 +193,7 @@ def test_reciprocity_node_report():
     assert rep.pd_probe == INFINITE_PD
     assert rep.self_linked and not rep.degenerate
     assert rep.dim == 1
-    assert rep.isolated_singularity and rep.full_ci and rep.m_primary
+    assert rep.isolated_singularity
     # self-link symmetry
     assert all(r.len_i == r.len_j for r in rep.rows)
     # the deviation is exactly the reciprocity defect
@@ -216,9 +232,9 @@ def test_parameter_ideal_identity_is_asserted(monkeypatch):
     I, a = P.ideal([x, y]), P.ideal([x**2, y**2])
     assert [r.len_a for r in reciprocity_report(I, a, 1).rows] == [4, 100]
     a5 = a.bracket_power(5).gens
-    colength = RIdeal.colength
+    colength = Ideal.colength
     monkeypatch.setattr(
-        RIdeal, "colength", lambda self: colength(self) + (self.gens == a5)
+        Ideal, "colength", lambda self: colength(self) + (self.gens == a5)
     )
     with pytest.raises(IdentityViolation, match="parameter-ideal identity fails at q = 5"):
         reciprocity_report(I, a, 1)
