@@ -19,27 +19,21 @@ still use.  Only the pairs kept are reduced, and only those count against
 the pair budget.
 
 Reduction (``normal_form``) keeps its working polynomial as a term dict
-and a heap ordered by ``MonomialOrder.heap_key``; it sorts nothing, and the
+and a heap of ``PolyRing.heap_key`` ints; it sorts nothing, and the
 remainder comes out already in order.  Polynomials are built sorted once per
-result, never once per reduction step.
+result, never once per reduction step.  Monomials are the ring's packed ints
+(see ``poly``): a product is one ``+``, a divisibility test one subtraction
+and mask.  Only the staircase count works on exponent tuples.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import EmptyVariety, PreconditionViolated, ResourceCap, RingMismatch
-from .poly import (
-    Exponents,
-    Polynomial,
-    PolyRing,
-    exponents_divide,
-    exponents_lcm,
-    exponents_sub,
-)
+from .poly import Exponents, Polynomial, PolyRing, exponents_divide
 
 DEFAULT_MAX_PAIRS = 50_000
 DEFAULT_MAX_TERMS = 1_000_000
@@ -93,31 +87,31 @@ def normal_form(
     matching element of the basis sequence.  Basis elements must be monic.
     Each rewrite charges the budget len(reducer.terms).
 
-    The working polynomial is a dict from exponents to coefficients plus a
-    min-heap of ``heap_key`` entries, so the greatest term is popped without
-    re-sorting.  An entry whose monomial cancelled is skipped when popped
-    (lazy deletion).  Terms come off the heap in descending order, so the
-    irreducible ones already form the sorted result.
+    The working polynomial is a dict from packed monomials to coefficients
+    plus a min-heap of their heap keys, so the greatest term is popped
+    without re-sorting.  An entry whose monomial cancelled is skipped when
+    popped (lazy deletion).  Terms come off the heap in descending order, so
+    the irreducible ones already form the sorted result.
     """
     ring = f.ring
     for g in basis:
         if g.ring != ring:
             raise RingMismatch(f"{g.ring!r} vs {ring!r}")
     p = ring.p
-    heap_key = ring.order.heap_key
+    guard, flip, check_product = ring.guard, ring.heap_flip, ring.check_product
     heappop, heappush = heapq.heappop, heapq.heappush
-    reducers = [(g.leading_exponents(), g.terms, len(g.terms)) for g in basis]
+    reducers = [(g.terms[0][0], g.terms, len(g.terms), g.span) for g in basis]
     work = dict(f.terms)
-    heap = [(heap_key(e), e) for e in work]
+    heap = [e ^ flip for e in work]
     heapq.heapify(heap)
-    tail: list[tuple[Exponents, int]] = []
+    tail: list[tuple[int, int]] = []
     while heap:
-        e = heappop(heap)[1]
+        e = heappop(heap) ^ flip
         c = work.get(e)
         if c is None:
             continue
-        for lt, terms, size in reducers:
-            if all(map(le, lt, e)):
+        for lt, terms, size, span in reducers:
+            if not (e - lt) & guard:
                 break
         else:
             tail.append((e, c))
@@ -125,13 +119,14 @@ def normal_form(
             continue
         if budget is not None:
             budget.charge(size)
-        shift = tuple(map(sub, e, lt))
+        shift = e - lt
+        check_product(shift, span)
         for eg, cg in terms:
-            m = tuple(map(add, eg, shift))
+            m = eg + shift
             old = work.get(m)
             if old is None:
                 work[m] = -c * cg % p
-                heappush(heap, (heap_key(m), m))
+                heappush(heap, m ^ flip)
             else:
                 new = (old - c * cg) % p
                 if new:
@@ -139,32 +134,31 @@ def normal_form(
                 else:
                     del work[m]
         if e in work:
-            heappush(heap, (heap_key(e), e))
+            heappush(heap, e ^ flip)
     return Polynomial(ring, tuple(tail))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of two monic polynomials in the same ring."""
     f.ring.check_same(g.ring)
-    gamma = exponents_lcm(f.leading_exponents(), g.leading_exponents())
-    return f.multiply_monomial(exponents_sub(gamma, f.leading_exponents()), 1) - g.multiply_monomial(
-        exponents_sub(gamma, g.leading_exponents()), 1
-    )
+    a, b = f.leading_monomial(), g.leading_monomial()
+    gamma = f.ring.lcm(a, b)
+    return f.multiply_monomial(gamma - a, 1) - g.multiply_monomial(gamma - b, 1)
 
 
 def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, ...]:
     """Minimalize then tail-reduce: the unique reduced basis, sorted by LT."""
-    basis = sorted(
-        {g.monic() for g in basis if not g.is_zero()},
-        key=lambda g: ring.order.key(g.leading_exponents()),
-    )
+    def key(g):
+        return ring.key(g.leading_monomial())
+
+    basis = sorted({g.monic() for g in basis if not g.is_zero()}, key=key)
     minimal: list[Polynomial] = []
     for i, g in enumerate(basis):
-        lt = g.leading_exponents()
+        lt = g.leading_monomial()
         if any(
-            exponents_divide(h.leading_exponents(), lt)
+            ring.divides(h.leading_monomial(), lt)
             for j, h in enumerate(basis)
-            if j != i and (j < i or h.leading_exponents() != lt)
+            if j != i and (j < i or h.leading_monomial() != lt)
         ):
             continue
         minimal.append(g)
@@ -172,7 +166,7 @@ def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, .
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda g: ring.order.key(g.leading_exponents()), reverse=True)
+    reduced.sort(key=key, reverse=True)
     return tuple(reduced)
 
 
@@ -194,39 +188,44 @@ def buchberger(
     for g in gens:
         ring.check_same(g.ring)
     budget = _Budget(max_terms)
+    divides, lcm = ring.divides, ring.lcm
     basis: list[Polynomial] = []
-    lts: list[Exponents] = []
+    lts: list[int] = []
     live: list[int] = []
-    # (sum(lcm), i, j, lcm) with i < j; the first three entries are the key.
-    heap: list[tuple[int, int, int, Exponents]] = []
+    # (deg(lcm), i, j, lcm) with i < j; the first three entries are the key.
+    heap: list[tuple[int, int, int, int]] = []
 
     def update(h: Polynomial):
         """Gebauer-Moeller UPDATE: add h and queue only the pairs kept."""
         nonlocal heap, live
         k = len(basis)
-        t = h.leading_exponents()
+        t = h.leading_monomial()
         basis.append(h)
         lts.append(t)
-        candidates = [(i, exponents_lcm(lts[i], t), not any(map(min, lts[i], t))) for i in live]
+        # Two leading terms are coprime exactly when their lcm is their product.
+        candidates = []
+        for i in live:
+            gamma = lcm(lts[i], t)
+            candidates.append((i, gamma, gamma == lts[i] + t))
         # Criterion M: a candidate goes when the lcm of a later candidate or of
         # one already kept divides its own; coprime candidates stay, so that
         # they still rule out the others, and criterion F drops them below.
         kept = []
         for pos, (i, gamma, coprime) in enumerate(candidates):
             rivals = candidates[pos + 1 :] + kept
-            if coprime or not any(exponents_divide(r[1], gamma) for r in rivals):
+            if coprime or not any(divides(r[1], gamma) for r in rivals):
                 kept.append((i, gamma, coprime))
         # Criterion B_k: LT(h) divides lcm(a, b) and differs from both other lcms.
         heap = [
             entry
             for entry in heap
-            if not exponents_divide(t, entry[3])
-            or exponents_lcm(lts[entry[1]], t) == entry[3]
-            or exponents_lcm(lts[entry[2]], t) == entry[3]
+            if not divides(t, entry[3])
+            or lcm(lts[entry[1]], t) == entry[3]
+            or lcm(lts[entry[2]], t) == entry[3]
         ]
-        heap.extend((sum(gamma), i, k, gamma) for i, gamma, coprime in kept if not coprime)
+        heap.extend((ring.degree(gamma), i, k, gamma) for i, gamma, coprime in kept if not coprime)
         heapq.heapify(heap)
-        live = [i for i in live if not exponents_divide(t, lts[i])] + [k]
+        live = [i for i in live if not divides(t, lts[i])] + [k]
 
     for g in dict.fromkeys(g.monic() for g in gens if not g.is_zero()):
         update(g)
@@ -283,11 +282,12 @@ class GroebnerBasis:
 
     def staircase(self) -> list[Exponents]:
         """Minimal generators of the leading-term ideal (an antichain)."""
-        lts = self.leading_exponents()
+        ring = self.ring
+        lts = [g.leading_monomial() for g in self.basis]
         return [
-            e
+            ring.unpack(e)
             for i, e in enumerate(lts)
-            if not any(exponents_divide(o, e) for j, o in enumerate(lts) if j != i)
+            if not any(ring.divides(o, e) for j, o in enumerate(lts) if j != i)
         ]
 
     def normal_form(self, f: Polynomial) -> Polynomial:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import EmptyVariety, InternalError, PreconditionViolated
 from .groebner import GroebnerBasis, INFINITE, buchberger
-from .poly import MonomialOrder, Polynomial, PolyRing, exponents_divide, exponents_sub
+from .poly import MonomialOrder, Polynomial, PolyRing
 
 
 class Ideal:
@@ -123,7 +123,7 @@ class Ideal:
         ext = PolyRing(ring.field, (aux,) + ring.names, MonomialOrder.elim(1))
 
         def embed(f: Polynomial) -> Polynomial:
-            return ext.from_terms(((0,) + e, c) for e, c in f.terms)
+            return ext.from_terms(((0,) + e, c) for e, c in f.exponent_terms())
 
         t = ext.variable(0)
         one_minus_t = ext.one() - t
@@ -132,8 +132,9 @@ class Ideal:
         G = buchberger(ext, gens)
         kept = []
         for g in G.basis:
-            if all(e[0] == 0 for e, _ in g.terms):
-                kept.append(ring.from_terms((e[1:], c) for e, c in g.terms))
+            terms = g.exponent_terms()
+            if all(e[0] == 0 for e, _ in terms):
+                kept.append(ring.from_terms((e[1:], c) for e, c in terms))
         return Ideal(ring, kept)
 
     def colon(self, other: "Ideal") -> "Ideal":
@@ -169,17 +170,18 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         raise InternalError("exact division by zero")
     ring = f.ring
     inv_lc = ring.field.inv(g.leading_coefficient())
-    lt = g.leading_exponents()
+    lt = g.leading_monomial()
     quotient = []
     work = f
     while not work.is_zero():
         e, c = work.terms[0]
-        if not exponents_divide(lt, e):
+        if not ring.divides(lt, e):
             raise InternalError(f"exact division failed: {f} by {g}")
-        mono, coeff = exponents_sub(e, lt), c * inv_lc % ring.p
+        mono, coeff = e - lt, c * inv_lc % ring.p
         quotient.append((mono, coeff))
         work = work - g.multiply_monomial(mono, coeff)
-    return ring.from_terms(quotient)
+    # Each step removes the leading term, so the quotient comes out sorted.
+    return Polynomial(ring, tuple(quotient))
 
 
 class QuotientPresentation:

@@ -142,37 +142,41 @@ def reynolds(
     if tables is None:
         degree = max(f.total_degree(), 0)
         tables = [ring.linear_powers(m, degree) for m in G.elements]
-    acc: dict = {}
-    for table in tables:
-        f.substitute_into(acc, table)
+    acc = f.substitute_into({}, tables)
     p = ring.p
     scale = G.field.inv(G.order % p)
     return ring._from_dict({e: c * scale % p for e, c in acc.items()})
 
 
-def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
+def invariant_basis(
+    ring: PolyRing,
+    G: MatrixGroup,
+    d: int,
+    tables: Optional[list[list[list[tuple]]]] = None,
+) -> list[Polynomial]:
     """Basis of the degree-d invariants: Reynolds images, row-reduced.
 
     Rows are reduced against each other in descending monomial order, so the
     output is deterministic and each basis element has a distinct leading
     monomial.  The powers of every element's images of the variables are
-    computed once for the degree and shared by all monomials.
+    shared by all monomials: tables holds them as ``reynolds`` takes them,
+    of degree at least d, and is built here when omitted.
     """
     if d < 1:
         raise PreconditionViolated("degree must be >= 1")
-    tables = [ring.linear_powers(m, d) for m in G.elements]
-    pivots: dict[tuple, Polynomial] = {}
+    if tables is None:
+        tables = [ring.linear_powers(m, d) for m in G.elements]
+    pivots: dict[int, Polynomial] = {}
     for exps in monomials_of_degree(ring.n, d):
         g = reynolds(ring.monomial(exps), G, tables)
         while not g.is_zero():
-            lead = g.leading_exponents()
-            holder = pivots.get(lead)
+            holder = pivots.get(g.leading_monomial())
             if holder is None:
                 break
             g = g - holder * g.leading_coefficient()
         if not g.is_zero():
-            pivots[g.leading_exponents()] = g.monic()
-    return [pivots[k] for k in sorted(pivots, key=ring.order.key, reverse=True)]
+            pivots[g.leading_monomial()] = g.monic()
+    return [pivots[k] for k in sorted(pivots, key=ring.key, reverse=True)]
 
 
 @dataclass
@@ -197,15 +201,19 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
 
     Accumulates invariant_basis degree by degree; stops at the first degree
     whose monomials all reduce to zero against the accumulated basis.  The
-    stop degree may not exceed |G|.
+    stop degree may not exceed |G|.  Each element's table of linear powers
+    is built once and grown by one power per degree.
     """
     if ring.field != G.field or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
     by_degree: dict[int, list[Polynomial]] = {}
     gens: list[Polynomial] = []
     basis: Optional[GroebnerBasis] = None
+    tables = [ring.linear_powers(m, 1) for m in G.elements]
     for d in range(1, G.order + 1):
-        layer = invariant_basis(ring, G, d)
+        for table in tables:
+            ring.grow_powers(table, d)
+        layer = invariant_basis(ring, G, d, tables)
         if layer:
             by_degree[d] = layer
             gens.extend(layer)

@@ -45,10 +45,21 @@ class LinkageDatum:
         return self.I.equals(self.J)
 
 
+def _presentation(ideal: Ideal, name: str) -> QuotientPresentation:
+    """The presentation R = S/C that ideal lives over; an ideal of S alone
+    has none, and linkage and Hilbert-Kunz lengths are taken over R."""
+    if ideal.presentation is None:
+        raise PreconditionViolated(
+            f"{name} = {ideal!r} has no quotient presentation R = S/C"
+        )
+    return ideal.presentation
+
+
 def link(I: Ideal, a: Ideal) -> LinkageDatum:
     """J = (a : I), with every linkage precondition and (a : J) = I checked."""
-    P = I.presentation
-    if a.presentation.ring != P.ring or a.presentation.ci_gens != P.ci_gens:
+    P = _presentation(I, "I")
+    Q = _presentation(a, "a")
+    if Q.ring != P.ring or Q.ci_gens != P.ci_gens:
         raise PreconditionViolated("I and a live over different presentations")
     if not P.is_full_ci(a):
         raise PreconditionViolated(
@@ -137,12 +148,13 @@ class ReciprocityReport:
 
 def hk_table(I: Ideal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
     """Rows (n, q, colength of I^[q], colength/q^dim) for n = 0..n_max."""
+    P = _presentation(I, "I")
     if n_max < 0:
         raise PreconditionViolated("n_max must be >= 0")
     if not I.is_m_primary():
         raise PreconditionViolated("Hilbert-Kunz table needs an m-primary ideal")
-    p = I.presentation.ring.p
-    d = I.presentation.dim
+    p = P.ring.p
+    d = P.dim
     rows = []
     for n in range(n_max + 1):
         q = p**n
@@ -165,7 +177,7 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     IdentityViolation.  Reciprocity at higher q is recorded, not enforced:
     its failure is exactly the infinite-projective-dimension signal.
     """
-    P = I.presentation
+    P = _presentation(I, "I")
     if P.dim < 1:
         raise PreconditionViolated("reciprocity needs a positive-dimensional ring")
     if n_max < 0:

@@ -25,7 +25,7 @@ DEFAULT_D_MAX = 64
 
 def _lift(f: Polynomial) -> dict:
     """Terms keyed by (degree,) + exponents, so tuple order is column order."""
-    return {(sum(e),) + e: c for e, c in f.terms}
+    return {(sum(e),) + e: c for e, c in f.exponent_terms()}
 
 
 class MacaulayFrame:

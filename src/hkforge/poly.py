@@ -1,22 +1,62 @@
 """Multivariate polynomials over F_p with pluggable monomial orders.
 
-A polynomial is an immutable, canonically sorted list of
-(exponent tuple, nonzero int coefficient) terms.  Coefficients are plain
-ints reduced mod p; the ring object owns the field and the active order.
-Frobenius powers, linear substitution and partial derivatives live here
-because they are term-level rewrites.
+A polynomial is an immutable, canonically sorted tuple of
+(monomial, nonzero int coefficient) terms.  Coefficients are plain ints
+reduced mod p; the ring object owns the field, the active order and the
+packing of monomials.  Frobenius powers, linear substitution and partial
+derivatives live here because they are term-level rewrites.
+
+Packed monomials
+----------------
+A monomial is one Python int, packed by its ring (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  It holds one field per variable plus one degree
+field per block of the order, and each field is ``width`` bits whose top
+bit is a guard bit that a valid monomial keeps 0.  From the least
+significant field up, the order picks the layout:
+
+- lex: the total degree, then x_n, ..., x_1;
+- grevlex: x_1, ..., x_n, then the total degree;
+- elim(k): x_{k+1}, ..., x_n and their degree, then x_1, ..., x_k and theirs.
+
+A degree field is a monomial's degree in its block, so every field adds
+under multiplication and the kernels work on whole ints:
+
+- the product of two monomials is ``a + b``;
+- a divides b exactly when ``(b - a) & ring.guard`` is 0, and then the
+  exponent difference is ``b - a``;
+- ``ring.lcm`` is the fieldwise maximum (one masked select) with the degree
+  fields recounted by one multiplication each;
+- ``ring.key(m)``, m XOR a mask, sorts like ``MonomialOrder.key``: it
+  complements the variable fields of the graded blocks, so integer
+  comparison is the order.  ``ring.heap_key(m) = m ^ ring.heap_flip``
+  complements the other fields, so the least heap key is the greatest
+  monomial, and the same XOR maps a heap key back to its monomial.
+
+Width rule: a field holds ``(p**MAX_BRACKET_LEVEL).bit_length() + 32`` value
+bits, so a block degree up to ``ring.max_degree``, 2^32 times the largest
+bracket power, fits: 46 bits at p = 5, 218 at p = 2^31 - 1.  The width is
+fixed when the ring is made.  A monomial whose block degree does not fit is
+too wide for the ring and raises ``ResourceCap`` (exit 4) wherever one can
+arise: packing a tuple, a product (checked once per ``multiply_monomial``,
+reduction step or polynomial product against the other factor's ``span``),
+an lcm, a Frobenius power or a linear-substitution table.
+
+Tuples remain only at the boundaries: ``pack``/``from_terms``/``monomial``
+take them, ``unpack``/``exponent_terms``/``leading_exponents`` and printing
+give them back, ``MonomialOrder.key`` defines the orders on them, and the
+oracle and the staircase count work on them.
 
 Arithmetic that combines many terms collects them in one
-``dict[exponents -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
+``dict[monomial -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
 when the result is built; no intermediate ``Polynomial`` is made.  Products
-and linear substitution share one dict-multiply loop (``_mul_into``), and
-``MonomialOrder.heap_key`` lets a reduction keep its terms in a min-heap
-whose top is the greatest monomial (see ``groebner.normal_form``).
+and linear substitution share one dict-multiply loop (``_mul_into``).
 """
 
 from __future__ import annotations
 
-from operator import add, le, neg
+from functools import reduce
+from operator import le, neg
 from typing import Iterable, Sequence
 
 from .errors import NotAPowerOfP, PreconditionViolated, ResourceCap, RingMismatch
@@ -26,6 +66,8 @@ MAX_VARS = 16
 # Bracket exponents are capped at p^6: beyond desk scale, and exponent
 # vectors stay small enough to print and count.
 MAX_BRACKET_LEVEL = 6
+# Value bits of a packed field beyond those of p^MAX_BRACKET_LEVEL.
+_HEADROOM_BITS = 32
 
 Exponents = tuple[int, ...]
 
@@ -34,16 +76,13 @@ def _grevlex_key(e: Exponents):
     return (sum(e), tuple(map(neg, reversed(e))))
 
 
-def _grevlex_heap_key(e: Exponents):
-    return (-sum(e), e[::-1])
-
-
 class MonomialOrder:
     """Total multiplicative monomial order: lex, grevlex or elim(k).
 
     elim(k) compares the first k exponents by grevlex and breaks ties by
     grevlex on the rest, so the first k variables dominate (elimination
-    block).
+    block).  ``key`` is the definition on exponent tuples; a ring sorts its
+    packed monomials by ``PolyRing.key``, which agrees with it.
     """
 
     __slots__ = ("kind", "block")
@@ -92,16 +131,6 @@ class MonomialOrder:
         k = self.block
         return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
 
-    def heap_key(self, e: Exponents):
-        """Negated sort key: a smaller heap_key means a greater monomial, so
-        the top of a ``heapq`` min-heap is the leading term."""
-        if self.kind == "grevlex":
-            return _grevlex_heap_key(e)
-        if self.kind == "lex":
-            return tuple(map(neg, e))
-        k = self.block
-        return (_grevlex_heap_key(e[:k]), _grevlex_heap_key(e[k:]))
-
     def compare(self, a: Exponents, b: Exponents) -> int:
         if len(a) != len(b):
             raise RingMismatch("exponent vectors of different lengths")
@@ -122,30 +151,35 @@ class MonomialOrder:
         return f"MonomialOrder({self.name})"
 
 
+def _layout_runs(order: MonomialOrder, n: int) -> list[tuple[list[int], bool]]:
+    """The packed layout an order picks, from the least significant field
+    up: runs of variable indices, each graded (variable fields complemented
+    in the key, degree field above them) or not (lex: degree field below,
+    nothing complemented)."""
+    if order.kind == "lex":
+        return [(list(range(n - 1, -1, -1)), False)]
+    if order.kind == "grevlex":
+        return [(list(range(n)), True)]
+    k = min(order.block, n)
+    return [(run, True) for run in (list(range(k, n)), list(range(k))) if run]
+
+
 def exponents_divide(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b componentwise."""
     return all(map(le, a, b))
-
-
-def exponents_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
-def exponents_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _mul_into(acc: dict, a, b, p: int) -> dict:
     """Add the product of two term sequences into acc, coefficients mod p.
 
     The one multiply loop behind ``Polynomial.__mul__`` and linear
-    substitution.  Zero coefficients may stay in acc; ``_from_dict`` drops
-    them.
+    substitution; the caller makes sure the products fit the fields.  Zero
+    coefficients may stay in acc; ``_from_dict`` drops them.
     """
     get = acc.get
     for ea, ca in a:
         for eb, cb in b:
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             acc[e] = (get(e, 0) + ca * cb) % p
     return acc
 
@@ -162,9 +196,14 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
 
 
 class PolyRing:
-    """F_p[x_1..x_n] together with the active monomial order."""
+    """F_p[x_1..x_n] together with the active monomial order and the packing
+    of its monomials (see the module docstring)."""
 
-    __slots__ = ("field", "names", "order", "n", "_zero_exps")
+    __slots__ = (
+        "field", "names", "order", "n",
+        "width", "max_degree", "guard", "heap_flip",
+        "_key_flip", "_shifts", "_field_shifts", "_units", "_blocks",
+    )
 
     def __init__(self, p: int | PrimeField, names: Sequence[str], order: MonomialOrder | None = None):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -178,7 +217,41 @@ class PolyRing:
         self.names = names
         self.order = order if order is not None else MonomialOrder.grevlex()
         self.n = len(names)
-        self._zero_exps = (0,) * self.n
+        self._lay_out()
+
+    def _lay_out(self):
+        """Place the fields of the order's blocks and build the masks."""
+        value_bits = (self.p**MAX_BRACKET_LEVEL).bit_length() + _HEADROOM_BITS
+        w = self.width = value_bits + 1
+        limit = self.max_degree = (1 << value_bits) - 1
+        shifts = [0] * self.n
+        field_shifts, units = [], [0] * self.n
+        # Per block: its variables, the mask of their fields, the multiplier
+        # that sums those fields into the field of the last one, the shift of
+        # that field, and the shift of the block's degree field.
+        blocks = []
+        key_flip = 0
+        for run, graded in _layout_runs(self.order, self.n):
+            pos = len(field_shifts)
+            first = pos if graded else pos + 1
+            degree_shift = (first + len(run) if graded else pos) * w
+            for i, v in enumerate(run):
+                shifts[v] = (first + i) * w
+                units[v] = (1 << shifts[v]) | (1 << degree_shift)
+            var_mask = sum(limit << shifts[v] for v in run)
+            if graded:
+                key_flip |= var_mask
+            ones = sum(1 << (j * w) for j in range(len(run)))
+            top = (first + len(run) - 1) * w
+            blocks.append((tuple(run), var_mask, ones, top, degree_shift))
+            field_shifts += [(first + i) * w for i in range(len(run))] + [degree_shift]
+        self._shifts = tuple(shifts)
+        self._field_shifts = tuple(field_shifts)
+        self._units = tuple(units)
+        self._blocks = tuple(blocks)
+        self.guard = sum(1 << (s + w - 1) for s in field_shifts)
+        self._key_flip = key_flip
+        self.heap_flip = sum(limit << s for s in field_shifts) ^ key_flip
 
     @property
     def p(self) -> int:
@@ -212,6 +285,85 @@ class PolyRing:
         if self != other:
             raise RingMismatch(f"{self!r} vs {other!r}")
 
+    # -- packed monomials -----------------------------------------------------
+
+    def _too_wide(self) -> ResourceCap:
+        return ResourceCap(
+            f"exponent too wide for the {self.width - 1}-bit packed field of {self!r}"
+        )
+
+    def pack(self, exps: Iterable[int]) -> int:
+        """The packed monomial of an exponent vector."""
+        exps = tuple(exps)
+        if len(exps) != self.n or any(x < 0 for x in exps):
+            raise RingMismatch(f"bad exponent vector {exps} for {self!r}")
+        m = 0
+        for run, _, _, _, degree_shift in self._blocks:
+            degree = sum(exps[v] for v in run)
+            if degree > self.max_degree:
+                raise self._too_wide()
+            m |= degree << degree_shift
+            for v in run:
+                m |= exps[v] << self._shifts[v]
+        return m
+
+    def unpack(self, m: int) -> Exponents:
+        """The exponent vector of a packed monomial."""
+        limit = self.max_degree
+        return tuple([(m >> s) & limit for s in self._shifts])
+
+    def _fields(self, m: int) -> list[int]:
+        """Every field of a packed monomial, degree fields included, read
+        without the guard bits masked off."""
+        mask = (1 << self.width) - 1
+        return [(m >> s) & mask for s in self._field_shifts]
+
+    def degree(self, m: int) -> int:
+        """Total degree of a packed monomial: the sum of its degree fields."""
+        limit = self.max_degree
+        return sum((m >> block[4]) & limit for block in self._blocks)
+
+    def key(self, m: int) -> int:
+        """Sort key of a packed monomial: greater key, greater monomial."""
+        return m ^ self._key_flip
+
+    def heap_key(self, m: int) -> int:
+        """Reversed sort key, so a min-heap pops the greatest monomial first;
+        XOR with ``heap_flip`` again maps it back."""
+        return m ^ self.heap_flip
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def _field_max(self, a: int, b: int) -> int:
+        """Fieldwise maximum, degree fields included, in one masked select."""
+        w = self.width
+        # A set guard bit in a - b marks a field where a is smaller (or equal
+        # with a borrow from below, where either pick is right).
+        pick_b = (((a - b) & self.guard) >> (w - 1)) * ((1 << w) - 1)
+        return (a & ~pick_b) | (b & pick_b)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum with the degree fields recounted; ResourceCap
+        when a degree of the lcm does not fit its field."""
+        field = (1 << self.width) - 1
+        top = self._field_max(a, b)
+        for _, var_mask, ones, shift, degree_shift in self._blocks:
+            vars_only = top & var_mask
+            count = (vars_only * ones >> shift) & field
+            top = (top & ~(field << degree_shift)) | (count << degree_shift)
+        if top & self.guard:
+            raise self._too_wide()
+        return top
+
+    def check_product(self, a: int, b: int) -> None:
+        """ResourceCap unless a + b fits; with b a ``span`` this vouches for
+        every product of a with the terms spanned."""
+        if (a + b) & self.guard:
+            raise self._too_wide()
+
+    # -- polynomials ----------------------------------------------------------
+
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
 
@@ -222,46 +374,40 @@ class PolyRing:
         c %= self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, ((self._zero_exps, c),))
+        return Polynomial(self, ((0, c),))
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.n:
             raise PreconditionViolated(f"variable index {i} out of range")
-        e = tuple(1 if j == i else 0 for j in range(self.n))
-        return Polynomial(self, ((e, 1),))
+        return Polynomial(self, ((self._units[i], 1),))
 
     def monomial(self, exps: Exponents, coeff: int = 1) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != self.n or any(x < 0 for x in exps):
-            raise RingMismatch(f"bad exponent vector {exps} for {self!r}")
+        m = self.pack(exps)
         coeff %= self.p
         if coeff == 0:
             return self.zero()
-        return Polynomial(self, ((exps, coeff),))
+        return Polynomial(self, ((m, coeff),))
 
     def from_terms(self, terms: Iterable[tuple[Exponents, int]]) -> "Polynomial":
         """Canonicalize arbitrary (exponents, coefficient) pairs."""
-        acc: dict[Exponents, int] = {}
+        acc: dict[int, int] = {}
         p = self.p
         for exps, c in terms:
-            exps = tuple(exps)
-            if len(exps) != self.n or any(x < 0 for x in exps):
-                raise RingMismatch(f"bad exponent vector {exps} for {self!r}")
-            acc[exps] = (acc.get(exps, 0) + c) % p
+            m = self.pack(exps)
+            acc[m] = (acc.get(m, 0) + c) % p
         return self._from_dict(acc)
 
-    def _from_dict(self, acc: dict[Exponents, int]) -> "Polynomial":
-        key = self.order.key
-        items = tuple(
-            (e, c) for e, c in sorted(acc.items(), key=lambda t: key(t[0]), reverse=True) if c
-        )
-        return Polynomial(self, items)
+    def _from_dict(self, acc: dict[int, int]) -> "Polynomial":
+        # The monomials with nonzero coefficients, sorted by the packed key.
+        ordered = sorted(filter(acc.get, acc), key=self._key_flip.__xor__, reverse=True)
+        return Polynomial(self, tuple([(m, acc[m]) for m in ordered]))
 
     def linear_powers(self, matrix: Sequence[Sequence[int]], degree: int) -> list[list[tuple]]:
         """Powers of the images of the variables under x_j -> sum_i M[i][j] x_i.
 
         ``table[j][k]`` holds the terms of (sum_i M[i][j] x_i)^k for
-        0 <= k <= degree.  Build it once per matrix and degree and hand it to
+        0 <= k <= max(degree, 1).  Build it once per matrix, raise its
+        degree with ``grow_powers``, and hand it to
         ``Polynomial.substitute_into`` for every polynomial of degree at most
         ``degree``.
         """
@@ -269,19 +415,27 @@ class PolyRing:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise RingMismatch(f"substitution matrix must be {n}x{n}")
         p = self.p
-        units = [self.variable(i).terms[0][0] for i in range(n)]
-        one = ((self._zero_exps, 1),)
         table = []
         for j in range(n):
             image = tuple(
-                (units[i], matrix[i][j] % p) for i in range(n) if matrix[i][j] % p
+                (self._units[i], matrix[i][j] % p) for i in range(n) if matrix[i][j] % p
             )
-            powers = [one]
-            for _ in range(degree):
+            table.append([((0, 1),), image])
+        return self.grow_powers(table, degree)
+
+    def grow_powers(self, table: list[list[tuple]], degree: int) -> list[list[tuple]]:
+        """Extend a ``linear_powers`` table to ``degree``, in place, and
+        return it.  Images of monomials of degree at most ``degree`` fit the
+        fields when ``degree`` does."""
+        if degree > self.max_degree:
+            raise self._too_wide()
+        p = self.p
+        for powers in table:
+            image = powers[1]
+            while len(powers) <= degree:
                 powers.append(
                     tuple((e, c) for e, c in _mul_into({}, powers[-1], image, p).items() if c)
                 )
-            table.append(powers)
         return table
 
     def convert(self, f: "Polynomial") -> "Polynomial":
@@ -290,7 +444,7 @@ class PolyRing:
             raise RingMismatch(f"{f.ring!r} vs {self!r}")
         if f.ring.order == self.order:
             return f
-        return self._from_dict(dict(f.terms))
+        return self.from_terms(f.exponent_terms())
 
     def bracket_level(self, q: int) -> int:
         """Validate q = p^n and return n; enforces the p^6 cap."""
@@ -311,12 +465,13 @@ class PolyRing:
 class Polynomial:
     """Immutable canonical polynomial; do not call directly, use a PolyRing."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_span")
 
-    def __init__(self, ring: PolyRing, terms: tuple[tuple[Exponents, int], ...]):
+    def __init__(self, ring: PolyRing, terms: tuple[tuple[int, int], ...]):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._span = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -324,26 +479,42 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms[0][0] == self.ring._zero_exps
+        return not self.terms or self.terms[0][0] == 0
 
-    def leading_exponents(self) -> Exponents:
+    def leading_monomial(self) -> int:
         if not self.terms:
             raise PreconditionViolated("zero polynomial has no leading term")
         return self.terms[0][0]
+
+    def leading_exponents(self) -> Exponents:
+        return self.ring.unpack(self.leading_monomial())
 
     def leading_coefficient(self) -> int:
         if not self.terms:
             raise PreconditionViolated("zero polynomial has no leading term")
         return self.terms[0][1]
 
+    def exponent_terms(self) -> tuple[tuple[Exponents, int], ...]:
+        """The terms with exponent tuples in place of packed monomials."""
+        unpack = self.ring.unpack
+        return tuple((unpack(m), c) for m, c in self.terms)
+
+    @property
+    def span(self) -> int:
+        """Fieldwise maximum of the packed monomials, degree fields included:
+        ``ring.check_product(m, f.span)`` vouches for m times every term."""
+        if self._span is None:
+            self._span = reduce(self.ring._field_max, (m for m, _ in self.terms), 0)
+        return self._span
+
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        return max(map(self.ring.degree, (m for m, _ in self.terms)))
 
     def constant_term(self) -> int:
-        for e, c in self.terms:
-            if e == self.ring._zero_exps:
+        for m, c in self.terms:
+            if m == 0:
                 return c
         return 0
 
@@ -391,6 +562,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
+        self.ring.check_product(self.span, other.span)
         return self.ring._from_dict(_mul_into({}, self.terms, other.terms, self.ring.p))
 
     __rmul__ = __mul__
@@ -416,63 +588,62 @@ class Polynomial:
         inv = self.ring.field.inv(lc)
         return self * inv
 
-    def multiply_monomial(self, exps: Exponents, coeff: int) -> "Polynomial":
-        """Fast multiply by coeff * x^exps; stays sorted, no re-sort needed."""
+    def multiply_monomial(self, mono: int, coeff: int) -> "Polynomial":
+        """Fast multiply by coeff times the packed monomial mono; stays
+        sorted, no re-sort needed."""
         p = self.ring.p
         coeff %= p
         if coeff == 0:
             return self.ring.zero()
+        self.ring.check_product(mono, self.span)
         return Polynomial(
-            self.ring,
-            tuple((tuple(map(add, e, exps)), c * coeff % p) for e, c in self.terms),
+            self.ring, tuple((m + mono, c * coeff % p) for m, c in self.terms)
         )
 
     # -- characteristic-p and calculus rewrites ------------------------------
 
     def frobenius_power(self, q: int) -> "Polynomial":
         """f^q for q = p^n: exponents scale by q, coefficients go to c^q."""
-        self.ring.bracket_level(q)
-        field = self.ring.field
-        return Polynomial(
-            self.ring,
-            tuple(
-                (tuple(x * q for x in e), field.pow(c, q)) for e, c in self.terms
-            ),
-        )
+        ring = self.ring
+        ring.bracket_level(q)
+        if self.terms and max(ring._fields(self.span)) * q > ring.max_degree:
+            raise ring._too_wide()
+        field = ring.field
+        return Polynomial(ring, tuple((m * q, field.pow(c, q)) for m, c in self.terms))
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "Polynomial":
         """Image under x_j -> sum_i M[i][j] x_i (column action)."""
         table = self.ring.linear_powers(matrix, max(self.total_degree(), 0))
-        return self.ring._from_dict(self.substitute_into({}, table))
+        return self.ring._from_dict(self.substitute_into({}, [table]))
 
-    def substitute_into(self, acc: dict, table: list[list[tuple]]) -> dict:
-        """Add the image of self under a linear substitution into the term
-        dict acc and return acc; table comes from ``PolyRing.linear_powers``
-        with a degree of at least deg self."""
+    def substitute_into(self, acc: dict, tables: Sequence[list[list[tuple]]]) -> dict:
+        """Add the images of self under several linear substitutions into
+        the term dict acc and return acc; each table comes from
+        ``PolyRing.linear_powers`` with a degree of at least deg self."""
         p = self.ring.p
-        one = ((self.ring._zero_exps, 1),)
-        for e, c in self.terms:
-            factors = [table[j][k] for j, k in enumerate(e) if k] or [one]
-            part = ((self.ring._zero_exps, c),)
-            for factor in factors[:-1]:
-                part = tuple(_mul_into({}, part, factor, p).items())
-            _mul_into(acc, part, factors[-1], p)
+        one = ((0, 1),)
+        terms = [(self.ring.unpack(m), c) for m, c in self.terms]
+        for table in tables:
+            for e, c in terms:
+                factors = [table[j][k] for j, k in enumerate(e) if k] or [one]
+                part = factors[0] if c == 1 else tuple((m, a * c % p) for m, a in factors[0])
+                for factor in factors[1:-1]:
+                    part = tuple(_mul_into({}, part, factor, p).items())
+                _mul_into(acc, part, factors[-1] if len(factors) > 1 else one, p)
         return acc
 
     def partial_derivative(self, i: int) -> "Polynomial":
-        if not 0 <= i < self.ring.n:
+        ring = self.ring
+        if not 0 <= i < ring.n:
             raise PreconditionViolated(f"variable index {i} out of range")
-        p = self.ring.p
-        acc: dict[Exponents, int] = {}
-        for e, c in self.terms:
-            if e[i] == 0:
-                continue
-            coeff = c * e[i] % p
-            if coeff == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            acc[e2] = (acc.get(e2, 0) + coeff) % p
-        return self.ring._from_dict(acc)
+        p = ring.p
+        shift, unit, limit = ring._shifts[i], ring._units[i], ring.max_degree
+        acc: dict[int, int] = {}
+        for m, c in self.terms:
+            coeff = c * ((m >> shift) & limit) % p
+            if coeff:
+                acc[m - unit] = coeff
+        return ring._from_dict(acc)
 
     # -- identity and rendering ----------------------------------------------
 
@@ -491,7 +662,7 @@ class Polynomial:
             return "0"
         names = self.ring.names
         parts = []
-        for e, c in self.terms:
+        for e, c in self.exponent_terms():
             factors = []
             for name, exp in zip(names, e):
                 if exp == 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -337,3 +338,39 @@ def test_caps_reset_after_run(capsys):
     # the per-run override must not leak into the next invocation
     code, _ = run(capsys, "gb", "--in", path("node.json"), "--ideal", "I")
     assert code == 0
+
+
+# The node xy = 0 over the largest admitted prime, where q = p^6 is near
+# 2^186: the packed exponent fields must be wide enough for every bracket.
+LARGEST_PRIME_NODE = {
+    "p": 2147483647,
+    "vars": ["x", "y"],
+    "quotient": ["x*y"],
+    "ideals": {"I": ["x", "y"], "a": ["x + y"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["bracket", "--ideal", "I", "--q", "2147483647"],
+            "23dd1f9c00046207e02902826e9285cb8618946210dee8073d7ec134a1909d53",
+        ),
+        (
+            ["hk", "--ideal", "I", "--nmax", "6"],
+            "a7e477fb2c4fc4ea56e47a12197f1f0afd803919e66529cb6d3d384b78e6acdb",
+        ),
+        (
+            ["reciprocity", "--ideal", "I", "--ci", "a", "--nmax", "2", "--format", "tsv"],
+            "1cb895b9cf3034e83744400b51198146cb66046687173ff57464721cfa0ca762",
+        ),
+    ],
+    ids=["bracket", "hk", "reciprocity"],
+)
+def test_largest_prime_fits_the_packed_fields(capsys, tmp_path, argv, digest):
+    problem = tmp_path / "node_p31.json"
+    problem.write_text(json.dumps(LARGEST_PRIME_NODE))
+    code, out = run(capsys, argv[0], "--in", str(problem), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,9 @@ bound D, with truncated rows and the leading monomial as pivot; the grown
 frame must give the same colengths, memberships and certified values.
 ``reference_buchberger`` queues every pair and skips a coprime one when it is
 popped; ``buchberger`` must return the identical reduced basis.
+The packed-monomial operations of ``PolyRing`` must agree with their
+definitions on exponent tuples, and reduced bases with sympy's, when sympy
+is installed.
 """
 
 import heapq
@@ -24,17 +27,19 @@ from hkforge.errors import ResourceCap
 from hkforge.groebner import _Budget, _interreduce, buchberger, normal_form, s_polynomial
 from hkforge.invariants import group_closure, reynolds
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
-from hkforge.poly import (
-    MonomialOrder,
-    PolyRing,
-    exponents_divide,
-    exponents_lcm,
-    exponents_sub,
-    monomials_of_degree,
-)
+from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
 
 PRIMES = (2, 3, 5, 7, 101)
+LARGEST_PRIME = 2147483647
 NAMES = ("x", "y", "z", "w")
+
+
+def exponents_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def exponents_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def reference_normal_form(f, basis, budget=None):
@@ -42,7 +47,7 @@ def reference_normal_form(f, basis, budget=None):
     tail = []
     work = f
     while not work.is_zero():
-        e, c = work.terms[0]
+        e, c = work.exponent_terms()[0]
         reducer = None
         for lt, g in zip(lts, basis):
             if exponents_divide(lt, e):
@@ -50,9 +55,10 @@ def reference_normal_form(f, basis, budget=None):
                 break
         if reducer is None:
             tail.append((e, c))
-            work = work.ring.from_terms(work.terms[1:])
+            work = work.ring.from_terms(work.exponent_terms()[1:])
         else:
-            step = reducer.multiply_monomial(exponents_sub(e, reducer.leading_exponents()), c)
+            shift = work.ring.pack(exponents_sub(e, reducer.leading_exponents()))
+            step = reducer.multiply_monomial(shift, c)
             if budget is not None:
                 budget.charge(len(step.terms))
             work = work - step
@@ -82,11 +88,11 @@ def reference_buchberger(ring, gens, max_terms):
 def reference_substitute(f, matrix):
     R = f.ring
     images = [
-        R.from_terms((R.variable(i).terms[0][0], matrix[i][j]) for i in range(R.n))
+        R.from_terms((R.variable(i).leading_exponents(), matrix[i][j]) for i in range(R.n))
         for j in range(R.n)
     ]
     result = R.zero()
-    for e, c in f.terms:
+    for e, c in f.exponent_terms():
         part = R.constant(c)
         for j, exp in enumerate(e):
             if exp:
@@ -108,7 +114,7 @@ def reference_frame(R, gens, bound):
 
     def reduce(f):
         v = [0] * len(basis)
-        for e, c in f.terms:
+        for e, c in f.exponent_terms():
             if e in column:
                 v[column[e]] = c
         for j in range(len(v)):
@@ -121,10 +127,10 @@ def reference_frame(R, gens, bound):
     for g in gens:
         if g.is_zero():
             continue
-        low = min(sum(e) for e, _ in g.terms)
+        low = min(sum(e) for e, _ in g.exponent_terms())
         for d in range(max(bound - low, 0)):
             for m in monomials_of_degree(R.n, d):
-                v, j = reduce(g.multiply_monomial(m, 1))
+                v, j = reduce(g.multiply_monomial(R.pack(m), 1))
                 if j is not None:
                     inv = pow(v[j], -1, p)
                     pivots[j] = [a * inv % p for a in v]
@@ -197,10 +203,10 @@ def test_heap_key_is_key_reversed(R, data):
     exps = data.draw(
         st.lists(st.tuples(*[st.integers(0, 5)] * R.n), min_size=2, max_size=12, unique=True)
     )
-    order = R.order
-    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
-    a, b = exps[0], exps[1]
-    assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+    packed = [R.pack(e) for e in exps]
+    assert sorted(packed, key=R.heap_key) == sorted(packed, key=R.key, reverse=True)
+    a, b = packed[0], packed[1]
+    assert (R.heap_key(a) < R.heap_key(b)) == (R.key(a) > R.key(b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,13 +283,13 @@ def test_buchberger_matches_all_pairs_reference(R, data):
     queued = []
     heapify, heappush = heapq.heapify, heapq.heappush
 
-    # Pair queue entries start (sum(lcm), i, j); reduction heaps hold pairs.
+    # Pair queue entries start (deg(lcm), i, j); reduction heaps hold ints.
     def heapify_spy(heap):
-        queued.extend(entry[1:3] for entry in heap if len(entry) > 2)
+        queued.extend(entry[1:3] for entry in heap if isinstance(entry, tuple) and len(entry) > 2)
         heapify(heap)
 
     def heappush_spy(heap, entry):
-        if len(entry) > 2:
+        if isinstance(entry, tuple) and len(entry) > 2:
             queued.append(entry[1:3])
         heappush(heap, entry)
 
@@ -300,3 +306,140 @@ def test_buchberger_matches_all_pairs_reference(R, data):
         G = buchberger(R, gens, max_terms=200_000)
     assert G.basis == expected
     assert all(i < j and any(map(min, lts[i], lts[j])) for i, j in set(queued))
+
+
+@st.composite
+def packed_rings(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, MAX_VARS)))
+    kind = draw(st.sampled_from(("lex", "grevlex", "elim")))
+    order = MonomialOrder.elim(draw(st.integers(1, n))) if kind == "elim" else MonomialOrder(kind)
+    p = draw(st.sampled_from(PRIMES + (LARGEST_PRIME,)))
+    return PolyRing(p, [f"x{i}" for i in range(n)], order)
+
+
+def exponents(R, total):
+    """Exponent tuples of degree at most total: a composition of a drawn
+    degree, so single exponents reach total too."""
+
+    @st.composite
+    def draw_exponents(draw):
+        degree = draw(st.integers(0, total) | st.sampled_from((0, 1, total)))
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=R.n - 1, max_size=R.n - 1)))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+    return draw_exponents()
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_rings(), st.data())
+def test_packed_operations_match_their_tuple_definitions(R, data):
+    # Half the limit keeps a product in range; the full limit tests the masks.
+    a, b = (
+        data.draw(exponents(R, data.draw(st.sampled_from((R.max_degree // 2, R.max_degree)))))
+        for _ in range(2)
+    )
+    ma, mb = R.pack(a), R.pack(b)
+    assert R.unpack(ma) == a and R.unpack(mb) == b
+    assert R.degree(ma) == sum(a)
+    assert R.divides(ma, mb) == exponents_divide(a, b)
+    if exponents_divide(a, b):
+        assert R.unpack(mb - ma) == exponents_sub(b, a)
+    # Each packed result is the tuple one, or too wide exactly when that is.
+    product = tuple(x + y for x, y in zip(a, b))
+    try:
+        expected = R.pack(product)
+    except ResourceCap:
+        with pytest.raises(ResourceCap):
+            R.check_product(ma, mb)
+        with pytest.raises(ResourceCap):
+            R.monomial(a) * R.monomial(b)
+    else:
+        R.check_product(ma, mb)
+        assert ma + mb == expected
+        assert R.monomial(a) * R.monomial(b) == R.monomial(product)
+    try:
+        expected = R.pack(exponents_lcm(a, b))
+    except ResourceCap:
+        with pytest.raises(ResourceCap):
+            R.lcm(ma, mb)
+    else:
+        assert R.lcm(ma, mb) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rings(), st.data())
+def test_packed_keys_sort_like_the_orders(R, data):
+    exps = data.draw(st.lists(exponents(R, R.max_degree), min_size=2, max_size=10, unique=True))
+    packed = [R.pack(e) for e in exps]
+    ascending = [R.pack(e) for e in sorted(exps, key=R.order.key)]
+    assert sorted(packed, key=R.key) == ascending
+    assert sorted(packed, key=R.heap_key) == ascending[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rings(), st.data())
+def test_products_past_the_field_raise_resource_cap(R, data):
+    a = data.draw(exponents(R, R.max_degree))
+    i = data.draw(st.integers(0, R.n - 1))
+    b = tuple(R.max_degree - a[i] + 1 if j == i else 0 for j in range(R.n))
+    with pytest.raises(ResourceCap):
+        R.pack(tuple(x + y for x, y in zip(a, b)))
+    with pytest.raises(ResourceCap):
+        R.monomial(a) * (R.monomial(b) + 1)
+    with pytest.raises(ResourceCap):
+        (R.monomial(b) + 1).multiply_monomial(R.pack(a), 1)
+    if R.order.kind != "elim":
+        # lex and grevlex keep the total degree in one field.
+        top = tuple(R.max_degree if j == i else 0 for j in range(R.n))
+        too_wide = sum(exponents_lcm(a, top)) > R.max_degree
+        try:
+            R.lcm(R.pack(a), R.pack(top))
+            assert not too_wide
+        except ResourceCap:
+            assert too_wide
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GROUPS), st.integers(1, 6))
+def test_grown_power_tables_equal_fresh_ones(group, degree):
+    p, gens = group
+    G = group_closure(p, gens)
+    R = PolyRing(p, NAMES[: G.n])
+    for m in G.elements:
+        table = R.linear_powers(m, 1)
+        for d in range(1, degree + 1):
+            R.grow_powers(table, d)
+        assert table == R.linear_powers(m, degree)
+
+
+def _monic_terms(terms, p):
+    """A polynomial as the set of its (exponents, coefficient) terms, scaled
+    to leading coefficient 1 mod p; terms come leading term first."""
+    inv = pow(terms[0][1] % p, -1, p)
+    return frozenset((tuple(e), c * inv % p) for e, c in terms if c % p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduced_bases_match_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    n = data.draw(st.integers(1, 3))
+    order = data.draw(st.sampled_from(("lex", "grevlex")))
+    R = PolyRing(data.draw(st.sampled_from(PRIMES)), NAMES[:n], MonomialOrder(order))
+    gens = data.draw(st.lists(polys(R, max_terms=3, max_exp=3), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        gens = gens + [R.variable(i) ** data.draw(st.integers(1, 4)) for i in range(n)]
+    assume(any(not g.is_zero() for g in gens))
+    try:
+        ours = buchberger(R, gens).basis
+    except ResourceCap:
+        assume(False)
+    symbols = sympy.symbols(NAMES[:n])
+    exprs = [
+        sum(c * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, c in g.exponent_terms())
+        for g in gens
+        if not g.is_zero()
+    ]
+    theirs = sympy.groebner(exprs, *symbols, modulus=R.p, order=order)
+    expected = {_monic_terms(sympy.Poly(h, *symbols).terms(order=order), R.p) for h in theirs.exprs}
+    assert {_monic_terms(g.exponent_terms(), R.p) for g in ours} == expected

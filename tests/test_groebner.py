@@ -82,7 +82,7 @@ def test_reduced_basis_is_canonical():
         for other in a.basis:
             if other is g:
                 continue
-            for e, _ in g.terms:
+            for e, _ in g.exponent_terms():
                 assert not all(
                     u <= v for u, v in zip(other.leading_exponents(), e)
                 )
@@ -228,7 +228,7 @@ def test_s_polynomial_cancels_leading_terms():
     g = (x * y + 1).monic()
     s = s_polynomial(f, g)
     lcm = (2, 1)
-    assert all(e != lcm for e, _ in s.terms)
+    assert all(e != lcm for e, _ in s.exponent_terms())
 
 
 def test_zero_ideal_basis():

@@ -97,6 +97,22 @@ def test_link_preconditions():
         link(P.ideal([x]), P.ideal([x**2, y**2]))  # a not inside I either
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda I, a: link(I, a),
+        lambda I, a: hk_table(I, 1),
+        lambda I, a: reciprocity_report(I, a, 1),
+    ],
+    ids=["link", "hk_table", "reciprocity_report"],
+)
+def test_ideals_of_s_have_no_presentation(call):
+    R = PolyRing(5, ("x", "y"))
+    x, y = R.variable(0), R.variable(1)
+    with pytest.raises(PreconditionViolated, match="no quotient presentation"):
+        call(Ideal.of(x, y), Ideal.of(x + y, x - y))
+
+
 def test_corner_power_examples():
     R, P = free2()
     x, y = R.variable(0), R.variable(1)
