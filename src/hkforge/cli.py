@@ -9,6 +9,7 @@ error, 4 resource cap, 5 internal assertion failure, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -301,7 +302,10 @@ def _add_common(sub, *, problem=True, oracle=False, fmt=False):
         sub.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    in-process callers run `main` many times, and parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="hkforge",
         description="Exact lengths, linkage and invariant-ring multiplicities over F_p.",

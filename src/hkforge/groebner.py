@@ -23,17 +23,19 @@ and a heap of ``PolyRing.heap_key`` ints; it sorts nothing, and the
 remainder comes out already in order.  Polynomials are built sorted once per
 result, never once per reduction step.  Monomials are the ring's packed ints
 (see ``poly``): a product is one ``+``, a divisibility test one subtraction
-and mask.  Only the staircase count works on exponent tuples.
+and mask.  The colength sweeps the leading exponent tuples along the last
+variable, one slice per breakpoint (``_staircase_count``).
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import EmptyVariety, PreconditionViolated, ResourceCap, RingMismatch
-from .poly import Exponents, Polynomial, PolyRing, exponents_divide
+from .poly import Exponents, Polynomial, PolyRing
 
 DEFAULT_MAX_PAIRS = 50_000
 DEFAULT_MAX_TERMS = 1_000_000
@@ -277,18 +279,10 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.basis)
 
-    def leading_exponents(self) -> list[Exponents]:
-        return [g.leading_exponents() for g in self.basis]
-
     def staircase(self) -> list[Exponents]:
-        """Minimal generators of the leading-term ideal (an antichain)."""
-        ring = self.ring
-        lts = [g.leading_monomial() for g in self.basis]
-        return [
-            ring.unpack(e)
-            for i, e in enumerate(lts)
-            if not any(ring.divides(o, e) for j, o in enumerate(lts) if j != i)
-        ]
+        """Minimal generators of the leading-term ideal (an antichain): the
+        leading exponents, since ``_interreduce`` kept no divisible one."""
+        return [g.leading_exponents() for g in self.basis]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         self.ring.check_same(f.ring)
@@ -314,12 +308,11 @@ class GroebnerBasis:
     def _compute_colength(self):
         if self.is_unit_ideal():
             return 0
-        n = self.ring.n
         lts = self.staircase()
-        for i in range(n):
+        for i in range(self.ring.n):
             if not any(sum(e) == e[i] and e[i] > 0 for e in lts):
                 return INFINITE
-        return _count_standard(frozenset(lts), n, {})
+        return _staircase_count(lts)
 
     def krull_dim(self) -> int:
         if self._dim is None:
@@ -344,46 +337,35 @@ class GroebnerBasis:
         return best
 
 
-def _count_standard(lts: frozenset, n: int, memo: dict) -> int:
-    """Monomials outside the monomial ideal generated by lts (finite case).
+def _staircase_count(exps: Sequence[Exponents]) -> int:
+    """Monomials outside the monomial ideal generated by exps, which must
+    contain a pure power of every variable; exps need not be minimal.
 
-    Splits on a mixed generator g and a variable i with k = g_i:
-    count(M) = count(M + (x_i^k)) + count(M : x_i^k); pure-power boxes are
-    counted directly as the product of minimal exponents.
+    Sweeps the last variable (the slice idea of Bigatti, "Computation of
+    Hilbert-Poincare series", JPAA 119, 1997).  At heights of x_n from one
+    breakpoint b_k of its exponents up to the next, the slice is the
+    (n-1)-variable ideal of the generators with last exponent at most b_k,
+    so it adds (b_{k+1} - b_k) times that slice's count.  Above the pure
+    power of x_n the slice is the unit ideal and adds nothing.  In two
+    variables the slice count is a running minimum; in one it is the
+    smallest exponent.
     """
-    cached = memo.get(lts)
-    if cached is not None:
-        return cached
-    mixed = None
-    box = [None] * n
-    for e in lts:
-        support = [i for i in range(n) if e[i]]
-        if len(support) == 1:
-            i = support[0]
-            if box[i] is None or e[i] < box[i]:
-                box[i] = e[i]
-        elif mixed is None or sum(e) < sum(mixed):
-            mixed = e
-    if mixed is None:
-        result = 1
-        for a in box:
-            result *= a
-    else:
-        i = max(range(n), key=lambda v: mixed[v])
-        k = mixed[i]
-        cap = tuple(k if v == i else 0 for v in range(n))
-        plus = _minimalize({e for e in lts if not exponents_divide(cap, e)} | {cap})
-        colon = _minimalize(
-            {tuple(max(x - k, 0) if v == i else x for v, x in enumerate(e)) for e in lts}
-        )
-        result = _count_standard(plus, n, memo) + _count_standard(colon, n, memo)
-    memo[lts] = result
-    return result
-
-
-def _minimalize(exps: set) -> frozenset:
-    out = set()
-    for e in exps:
-        if not any(o != e and exponents_divide(o, e) for o in exps):
-            out.add(e)
-    return frozenset(out)
+    if len(exps[0]) == 1:
+        return min(e[0] for e in exps)
+    total = prev = 0
+    if len(exps[0]) == 2:
+        low = None
+        for a, b in sorted(exps, key=itemgetter(1)):
+            if b > prev:
+                total += (b - prev) * low
+                prev = b
+            if low is None or a < low:
+                low = a
+        return total
+    slice_: list[Exponents] = []
+    for e in sorted(exps, key=itemgetter(-1)):
+        if e[-1] > prev:
+            total += (e[-1] - prev) * _staircase_count(slice_)
+            prev = e[-1]
+        slice_.append(e[:-1])
+    return total

@@ -45,7 +45,8 @@ an lcm, a Frobenius power or a linear-substitution table.
 Tuples remain only at the boundaries: ``pack``/``from_terms``/``monomial``
 take them, ``unpack``/``exponent_terms``/``leading_exponents`` and printing
 give them back, ``MonomialOrder.key`` defines the orders on them, and the
-oracle and the staircase count work on them.
+oracle and the staircase count (``groebner``'s sweep over the last variable)
+work on them.
 
 Arithmetic that combines many terms collects them in one
 ``dict[monomial -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,

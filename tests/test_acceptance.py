@@ -1,4 +1,5 @@
-"""Acceptance gate: ten end-to-end criteria, one PASS/FAIL line each.
+"""Acceptance gate: ten end-to-end criteria, one PASS/FAIL line each, and
+frozen Hilbert-Kunz rows of two Fermat hypersurfaces.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
 Every numeric check is exact equality on integers or Fractions; nothing is
@@ -308,3 +309,34 @@ def test_criterion_10_node_normalized_lengths():
         assert norm == Fraction(2 * q - 1, q)
     assert norms[0] < norms[1] < norms[2]
     assert all(n < 2 for n in norms)
+
+
+def fermat_maximal_ideal(p, n, d):
+    """The maximal ideal of F_p[x_1..x_n]/(x_1^d + ... + x_n^d)."""
+    R = PolyRing(p, tuple(f"x{i + 1}" for i in range(n)))
+    v = [R.variable(i) for i in range(n)]
+    P = QuotientPresentation(R, [sum((x**d for x in v[1:]), v[0] ** d)])
+    return P.ideal(v)
+
+
+def test_frozen_fermat_cubic_rows():
+    # x^3 + y^3 + z^3 over F_7 (p = 1 mod 3): every row is 9/4 q^2 - 5/4.
+    rows = hk_table(fermat_maximal_ideal(7, 3, 3), 3)
+    assert [(q, length) for _, q, length, _ in rows] == [
+        (1, 1),
+        (7, 109),
+        (49, 5401),
+        (343, 264709),
+    ]
+    assert all(4 * length == 9 * q**2 - 5 for _, q, length, _ in rows)
+
+
+def test_frozen_fermat_quartic_rows():
+    # x^4 + y^4 + z^4 + w^4 over F_5.
+    rows = hk_table(fermat_maximal_ideal(5, 4, 4), 3)
+    assert [(q, length) for _, q, length, _ in rows] == [
+        (1, 1),
+        (5, 339),
+        (25, 43017),
+        (125, 5379051),
+    ]

@@ -330,6 +330,43 @@ def test_errors_go_to_stderr(capsys):
     assert "no ideal named" in captured.err
 
 
+PARSER_SEQUENCE = [
+    ["hk", "--in", path("node.json"), "--ideal", "I", "--nmax", "1"],
+    ["bound", "--n", "2", "--g", "2"],
+    ["hk", "--in", path("node.json"), "--nmax", "one"],
+    ["hk", "--in", path("node.json"), "--ideal", "I", "--nmax", "1"],
+    ["--help"],
+]
+
+
+def _run_parser_sequence(capsys, fresh):
+    """(exit code, stdout, stderr) of each call; fresh clears the parser
+    cache before every call, so each call builds its own parser."""
+    results = []
+    for argv in PARSER_SEQUENCE:
+        if fresh:
+            cli.build_parser.cache_clear()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_one_parser_serves_every_call(capsys):
+    fresh = _run_parser_sequence(capsys, fresh=True)
+    cli.build_parser.cache_clear()
+    shared = _run_parser_sequence(capsys, fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert shared[0] == shared[3]
+    assert "invalid int value: 'one'" in shared[2][2]
+    assert shared[4][1].startswith("usage: hkforge")
+
+
 def test_caps_reset_after_run(capsys):
     code, _ = run(
         capsys, "gb", "--in", path("node.json"), "--ideal", "I", "--max-pairs", "0"

@@ -13,10 +13,12 @@ frame must give the same colengths, memberships and certified values.
 popped; ``buchberger`` must return the identical reduced basis.
 The packed-monomial operations of ``PolyRing`` must agree with their
 definitions on exponent tuples, and reduced bases with sympy's, when sympy
-is installed.
+is installed.  ``reference_count_standard`` is the split-and-minimalize
+recursion the staircase sweep replaced; both must equal a box count.
 """
 
 import heapq
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +26,14 @@ from hypothesis import strategies as st
 
 from hkforge import groebner
 from hkforge.errors import ResourceCap
-from hkforge.groebner import _Budget, _interreduce, buchberger, normal_form, s_polynomial
+from hkforge.groebner import (
+    _Budget,
+    _interreduce,
+    _staircase_count,
+    buchberger,
+    normal_form,
+    s_polynomial,
+)
 from hkforge.invariants import group_closure, reynolds
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
@@ -146,6 +155,54 @@ def reference_colength_bruteforce(R, gens, d_max):
         prev = value
         prev_pure = all(contains(R.variable(i) ** (bound - 1)) for i in range(R.n))
     return None
+
+
+def _minimalize(exps):
+    return frozenset(e for e in exps if not any(o != e and exponents_divide(o, e) for o in exps))
+
+
+def reference_count_standard(lts, n, memo):
+    """count(M) = count(M + (x_i^k)) + count(M : x_i^k) for a mixed generator
+    g with k = g_i its largest exponent; a pure-power box is the product of
+    its minimal exponents."""
+    cached = memo.get(lts)
+    if cached is not None:
+        return cached
+    mixed = None
+    box = [None] * n
+    for e in lts:
+        support = [i for i in range(n) if e[i]]
+        if len(support) == 1:
+            i = support[0]
+            if box[i] is None or e[i] < box[i]:
+                box[i] = e[i]
+        elif mixed is None or sum(e) < sum(mixed):
+            mixed = e
+    if mixed is None:
+        result = 1
+        for a in box:
+            result *= a
+    else:
+        i = max(range(n), key=lambda v: mixed[v])
+        k = mixed[i]
+        cap = tuple(k if v == i else 0 for v in range(n))
+        plus = _minimalize({e for e in lts if not exponents_divide(cap, e)} | {cap})
+        colon = _minimalize(
+            {tuple(max(x - k, 0) if v == i else x for v, x in enumerate(e)) for e in lts}
+        )
+        result = reference_count_standard(plus, n, memo) + reference_count_standard(colon, n, memo)
+    memo[lts] = result
+    return result
+
+
+def box_count(exps):
+    """Monomials inside the pure-power box that no generator divides."""
+    n = len(exps[0])
+    box = [min(e[i] for e in exps if e[i] and sum(e) == e[i]) for i in range(n)]
+    return sum(
+        not any(exponents_divide(e, m) for e in exps)
+        for m in itertools.product(*(range(b) for b in box))
+    )
 
 
 @st.composite
@@ -443,3 +500,27 @@ def test_reduced_bases_match_sympy(data):
     theirs = sympy.groebner(exprs, *symbols, modulus=R.p, order=order)
     expected = {_monic_terms(sympy.Poly(h, *symbols).terms(order=order), R.p) for h in theirs.exprs}
     assert {_monic_terms(g.exponent_terms(), R.p) for g in ours} == expected
+
+
+@st.composite
+def staircases(draw):
+    """A pure power of every variable, then mixed generators, some of them
+    multiples or copies of others, in any order."""
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    exps = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(sizes)]
+    exps += draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=8))
+    exps = [e for e in exps if any(e)]
+    for e in draw(st.lists(st.sampled_from(exps), max_size=3)):
+        shift = draw(st.tuples(*[st.integers(0, 2)] * n))
+        exps.append(tuple(map(sum, zip(e, shift))))
+    return draw(st.permutations(exps))
+
+
+@settings(max_examples=500, deadline=None)
+@given(staircases())
+def test_staircase_sweep_matches_split_recursion_and_box_count(exps):
+    n = len(exps[0])
+    expected = box_count(exps)
+    assert reference_count_standard(_minimalize(set(exps)), n, {}) == expected
+    assert _staircase_count(exps) == expected

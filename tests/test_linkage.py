@@ -184,6 +184,28 @@ def test_hk_table_node():
     assert all(r[3] == Fraction(2) for r in rows_a)
 
 
+def test_hk_table_runs_buchberger_once_per_distinct_input(monkeypatch):
+    # I^[1] is I, so the m-primary check and the q = 1 row share one basis.
+    rng = random.Random(7)
+    R, P, _, _ = node()
+    x, y = R.variable(0), R.variable(1)
+    I = P.ideal([x ** rng.randint(1, 3) + rng.randint(1, 4) * y, y ** rng.randint(1, 3)])
+    runs = []
+    buchberger = ideals.buchberger
+
+    def spy(ring, gens):
+        runs.append((ring.signature(), tuple(gens)))
+        return buchberger(ring, gens)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    rows = hk_table(I, 2)
+    assert len(runs) == len(set(runs)) == len(rows)
+    assert I.bracket_power(1) is I
+    # The cached I^[5] keeps the basis its row computed.
+    assert I.bracket_power(5).colength() == rows[1][2]
+    assert len(runs) == len(rows)
+
+
 def test_hk_table_preconditions():
     _, P, I, a = node()
     with pytest.raises(PreconditionViolated):
