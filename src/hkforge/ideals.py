@@ -22,9 +22,11 @@ from .poly import MonomialOrder, Polynomial, PolyRing
 
 class Ideal:
     """An ideal of S, or of R = S/C over `presentation`, with a per-order
-    Groebner cache of its lift and a per-q cache of its bracket powers."""
+    Groebner cache of its lift.  It keeps no other state: an ideal built
+    twice is two objects, and a caller that wants one basis shares the
+    object."""
 
-    __slots__ = ("ring", "gens", "presentation", "_cache", "_powers")
+    __slots__ = ("ring", "gens", "presentation", "_cache")
 
     def __init__(
         self,
@@ -38,7 +40,6 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self.presentation = presentation
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        self._powers: dict[int, Ideal] = {}
 
     @classmethod
     def of(cls, *gens: Polynomial) -> "Ideal":
@@ -105,16 +106,13 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens, self.presentation)
 
     def bracket_power(self, q: int) -> "Ideal":
-        """{g^q} + C over R: independent of the chosen lifts.  I^[1] is I, and
-        each I^[q] is made once per ideal, so its Groebner bases are too."""
+        """{g^q} + C over R: independent of the chosen lifts.  I^[1] is I
+        itself; any other q gives a new ideal, with no Groebner basis yet."""
         self.ring.bracket_level(q)
         if q == 1:
             return self
-        power = self._powers.get(q)
-        if power is None:
-            gens = tuple(g.frobenius_power(q) for g in self.gens)
-            power = self._powers[q] = Ideal(self.ring, gens, self.presentation)
-        return power
+        gens = tuple(g.frobenius_power(q) for g in self.gens)
+        return Ideal(self.ring, gens, self.presentation)
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Lift of I cap lift of J, an ideal of S: eliminate t from

@@ -83,22 +83,73 @@ def link(I: Ideal, a: Ideal) -> LinkageDatum:
     )
 
 
+@dataclass
+class HKRow:
+    n: int
+    q: int
+    len_i: int
+    len_j: int
+    len_a: int
+    len_corner: int
+    deviation: int
+    smith_ok: bool
+    normalized_i: Fraction
+    normalized_j: Fraction
+    normalized_a: Fraction
+    corner: Ideal
+
+
+def _row(L: LinkageDatum, q: int) -> HKRow:
+    """The reciprocity row at q, with its identities asserted.
+
+    I^[q], J^[q] and a^[q] are built once each.  The corner is I itself at
+    q = 1, by the double link that `link` proved, and (a^[q] : J^[q]) taken on
+    this very a^[q] otherwise, so the colon reuses the basis behind len_a.  At
+    q = 1 the corner identity len_corner + len_J = len_a is the length
+    identity len_I + len_J = len_a.
+    """
+    n = L.presentation.ring.bracket_level(q)
+    I_q, J_q, a_q = (ideal.bracket_power(q) for ideal in (L.I, L.J, L.a))
+    len_i, len_j, len_a = I_q.colength(), J_q.colength(), a_q.colength()
+    scale = q**L.presentation.dim
+    if len_a != scale * L.a.colength():
+        raise IdentityViolation(
+            f"parameter-ideal identity fails at q = {q}: "
+            f"{len_a} != {scale} * {L.a.colength()}"
+        )
+    corner = L.I if q == 1 else a_q.colon(J_q)
+    len_corner = corner.colength()
+    dev = len_i - len_corner
+    if dev < 0:
+        raise IdentityViolation(f"negative deviation {dev} at q = {q}")
+    if len_corner + len_j != len_a:
+        raise IdentityViolation(
+            f"corner identity fails at q = {q}: {len_corner} + {len_j} != {len_a}"
+        )
+    return HKRow(
+        n=n,
+        q=q,
+        len_i=len_i,
+        len_j=len_j,
+        len_a=len_a,
+        len_corner=len_corner,
+        deviation=dev,
+        smith_ok=len_i + len_j == len_a,
+        normalized_i=rational(len_i, scale),
+        normalized_j=rational(len_j, scale),
+        normalized_a=rational(len_a, scale),
+        corner=corner,
+    )
+
+
 def corner_power(L: LinkageDatum, q: int) -> Ideal:
     """(a^[q] : J^[q]); q = 1 returns I itself by double linkage."""
-    return L.a.bracket_power(q).colon(L.J.bracket_power(q))
+    return L.I if q == 1 else L.a.bracket_power(q).colon(L.J.bracket_power(q))
 
 
 def deviation(L: LinkageDatum, q: int) -> int:
     """colength(I^[q]) - colength(corner(q)), always >= 0."""
-    len_bracket = L.I.bracket_power(q).colength()
-    len_corner = corner_power(L, q).colength()
-    value = len_bracket - len_corner
-    if value < 0:
-        raise IdentityViolation(
-            f"corner power smaller than bracket power at q = {q}: "
-            f"{len_bracket} < {len_corner}"
-        )
-    return value
+    return _row(L, q).deviation
 
 
 def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
@@ -112,25 +163,7 @@ def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
         q = p * p
     if q <= 1:
         raise PreconditionViolated("probe level must be at least p")
-    L.presentation.ring.bracket_level(q)
-    return FINITE if deviation(L, q) == 0 else INFINITE_PD
-
-
-@dataclass
-class HKRow:
-    n: int
-    q: int
-    len_i: int
-    len_j: int
-    len_a: int
-    len_corner: int
-    deviation: int
-    vraciu_ok: bool
-    smith_ok: bool
-    normalized_i: Fraction
-    normalized_j: Fraction
-    normalized_a: Fraction
-    corner: Ideal
+    return FINITE if _row(L, q).deviation == 0 else INFINITE_PD
 
 
 @dataclass
@@ -138,7 +171,6 @@ class ReciprocityReport:
     rows: list[HKRow]
     linkage: LinkageDatum
     dim: int
-    smith_identity_at_1: bool
     reciprocity_all_q: bool
     pd_probe: str
     isolated_singularity: bool
@@ -172,10 +204,11 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
 
     The corner identity len_corner + len_J = len_a and the parameter-ideal
     identity len_a(q) = q^dim * len_a(1) (a^[q] is again a system of
-    parameters of the Cohen-Macaulay ring R) must hold on every row, and the
-    q = 1 row must satisfy len_I + len_J = len_a; violations raise
-    IdentityViolation.  Reciprocity at higher q is recorded, not enforced:
-    its failure is exactly the infinite-projective-dimension signal.
+    parameters of the Cohen-Macaulay ring R) must hold on every row; at
+    q = 1 the corner is I, so the first row also asserts len_I + len_J =
+    len_a.  Violations raise IdentityViolation.  Reciprocity at higher q is
+    recorded, not enforced: its failure is exactly the
+    infinite-projective-dimension signal.
     """
     P = _presentation(I, "I")
     if P.dim < 1:
@@ -183,51 +216,7 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     if n_max < 0:
         raise PreconditionViolated("n_max must be >= 0")
     L = link(I, a)
-    p = P.ring.p
-    rows = []
-    for n in range(n_max + 1):
-        q = p**n
-        len_i = L.I.bracket_power(q).colength()
-        len_j = L.J.bracket_power(q).colength()
-        len_a = L.a.bracket_power(q).colength()
-        scale = q**P.dim
-        if rows and len_a != scale * rows[0].len_a:
-            raise IdentityViolation(
-                f"parameter-ideal identity fails at q = {q}: "
-                f"{len_a} != {scale} * {rows[0].len_a}"
-            )
-        corner = corner_power(L, q)
-        len_corner = corner.colength()
-        dev = len_i - len_corner
-        if dev < 0:
-            raise IdentityViolation(f"negative deviation {dev} at q = {q}")
-        vraciu_ok = len_corner + len_j == len_a
-        if not vraciu_ok:
-            raise IdentityViolation(
-                f"corner identity fails at q = {q}: {len_corner} + {len_j} != {len_a}"
-            )
-        smith_ok = len_i + len_j == len_a
-        if n == 0 and not smith_ok:
-            raise IdentityViolation(
-                f"length identity fails at q = 1: {len_i} + {len_j} != {len_a}"
-            )
-        rows.append(
-            HKRow(
-                n=n,
-                q=q,
-                len_i=len_i,
-                len_j=len_j,
-                len_a=len_a,
-                len_corner=len_corner,
-                deviation=dev,
-                vraciu_ok=vraciu_ok,
-                smith_ok=smith_ok,
-                normalized_i=rational(len_i, scale),
-                normalized_j=rational(len_j, scale),
-                normalized_a=rational(len_a, scale),
-                corner=corner,
-            )
-        )
+    rows = [_row(L, P.ring.p**n) for n in range(n_max + 1)]
     if n_max >= 1:
         probe = FINITE if rows[-1].deviation == 0 else INFINITE_PD
     else:
@@ -236,7 +225,6 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
         rows=rows,
         linkage=L,
         dim=P.dim,
-        smith_identity_at_1=rows[0].smith_ok,
         reciprocity_all_q=all(r.smith_ok for r in rows),
         pd_probe=probe,
         isolated_singularity=P.is_isolated_singularity(),

@@ -1,9 +1,11 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from hkforge import ideals
+from hkforge import cli, ideals
 from hkforge.errors import IdentityViolation, PreconditionViolated
 from hkforge.ideals import Ideal, QuotientPresentation
 from hkforge.linkage import (
@@ -79,7 +81,7 @@ def test_degenerate_link():
     # reciprocity still trivially consistent: len_J = 0 at every q
     rep = reciprocity_report(a, a, 1)
     assert all(r.len_j == 0 for r in rep.rows)
-    assert all(r.vraciu_ok and r.smith_ok for r in rep.rows)
+    assert all(r.smith_ok for r in rep.rows)
     assert rep.degenerate
 
 
@@ -201,9 +203,6 @@ def test_hk_table_runs_buchberger_once_per_distinct_input(monkeypatch):
     rows = hk_table(I, 2)
     assert len(runs) == len(set(runs)) == len(rows)
     assert I.bracket_power(1) is I
-    # The cached I^[5] keeps the basis its row computed.
-    assert I.bracket_power(5).colength() == rows[1][2]
-    assert len(runs) == len(rows)
 
 
 def test_hk_table_preconditions():
@@ -225,8 +224,6 @@ def test_reciprocity_node_report():
         (49, 49, 50, 1),
     ]
     assert [r.deviation for r in rep.rows] == [0, 8, 48]
-    assert all(r.vraciu_ok for r in rep.rows)
-    assert rep.smith_identity_at_1
     assert not rep.reciprocity_all_q
     assert rep.pd_probe == INFINITE_PD
     assert rep.self_linked and not rep.degenerate
@@ -276,6 +273,70 @@ def test_parameter_ideal_identity_is_asserted(monkeypatch):
     )
     with pytest.raises(IdentityViolation, match="parameter-ideal identity fails at q = 5"):
         reciprocity_report(I, a, 1)
+
+
+@pytest.mark.parametrize(
+    "target, q, bump, call, match",
+    [
+        ("J", 5, 1, lambda L: reciprocity_report(L.I, L.a, 1), "corner identity fails at q = 5"),
+        ("J", 5, 1, lambda L: pd_finite_probe(L, 5), "corner identity fails at q = 5"),
+        ("I", 5, -1, lambda L: reciprocity_report(L.I, L.a, 1), "negative deviation -1 at q = 5"),
+        ("I", 5, -1, lambda L: pd_finite_probe(L, 5), "negative deviation -1 at q = 5"),
+        ("a", 5, 1, lambda L: pd_finite_probe(L, 5), "parameter-ideal identity fails at q = 5"),
+        # The corner at q = 1 is I, so there the corner identity is the
+        # length identity len_I + len_J = len_a.
+        ("J", 1, 1, lambda L: reciprocity_report(L.I, L.a, 0), "corner identity fails at q = 1"),
+        # With --nmax 0 the probe at p^2 asserts its row's identities too.
+        ("J", 25, 1, lambda L: reciprocity_report(L.I, L.a, 0), "corner identity fails at q = 25"),
+    ],
+    ids=[
+        "corner-report",
+        "corner-probe",
+        "deviation-report",
+        "deviation-probe",
+        "parameter-probe",
+        "length-at-1-report",
+        "corner-nmax0-probe",
+    ],
+)
+def test_row_identities_are_asserted(monkeypatch, target, q, bump, call, match):
+    _, _, I, a = sphere()
+    L = link(I, a)
+    gens = getattr(L, target).bracket_power(q).gens
+    colength = Ideal.colength
+    monkeypatch.setattr(
+        Ideal, "colength", lambda self: colength(self) + bump * (self.gens == gens)
+    )
+    with pytest.raises(IdentityViolation, match=match):
+        call(L)
+
+
+def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
+    # The q = 1 corner is I by double linkage; every other corner is one
+    # colon on the row's own a^[q], so no Groebner input is run twice.
+    _, _, I, a = sphere()
+    L = link(I, a)
+    assert corner_power(L, 1) is L.I
+    runs, colons = [], []
+    buchberger = ideals.buchberger
+    colon = Ideal.colon
+
+    def spy(ring, gens):
+        runs.append((ring.signature(), tuple(gens)))
+        return buchberger(ring, gens)
+
+    def counting_colon(self, other):
+        colons.append(other)
+        return colon(self, other)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    monkeypatch.setattr(Ideal, "colon", counting_colon)
+    problem = os.path.join(os.path.dirname(__file__), "..", "problems", "sphere.json")
+    argv = ["reciprocity", "--in", problem, "--ideal", "I", "--ci", "a", "--nmax", "3"]
+    assert cli.main(argv) == 0
+    assert len(runs) == len(set(runs)) == 40
+    assert len(colons) == 2 + 3  # link's two, then one per q > 1
+    assert json.loads(capsys.readouterr().out)["rows"][3]["len_corner"] == 2 * 125**2
 
 
 def test_reciprocity_rejects_zero_dimensional_rings():
