@@ -78,6 +78,12 @@ class _Budget:
             raise ResourceCap(f"term budget {self.limit} exhausted")
 
 
+def _reducer(g: Polynomial) -> tuple[int, tuple, int, int]:
+    """What ``_reduce`` reads of a monic basis element: its leading monomial,
+    its terms, their number (the budget charge) and its span."""
+    return g.terms[0][0], g.terms, len(g.terms), g.span
+
+
 def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
@@ -88,6 +94,21 @@ def normal_form(
     Deterministic: the greatest reducible term is rewritten by the first
     matching element of the basis sequence.  Basis elements must be monic.
     Each rewrite charges the budget len(reducer.terms).
+    """
+    ring = f.ring
+    for g in basis:
+        if g.ring != ring:
+            raise RingMismatch(f"{g.ring!r} vs {ring!r}")
+    return _reduce(f, [_reducer(g) for g in basis], budget)
+
+
+def _reduce(
+    f: Polynomial,
+    reducers: Sequence[tuple[int, tuple, int, int]],
+    budget: Optional[_Budget] = None,
+) -> Polynomial:
+    """``normal_form`` against a list of ``_reducer`` entries, which a caller
+    whose basis only grows keeps and extends instead of rebuilding.
 
     The working polynomial is a dict from packed monomials to coefficients
     plus a min-heap of their heap keys, so the greatest term is popped
@@ -96,13 +117,9 @@ def normal_form(
     the irreducible ones already form the sorted result.
     """
     ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatch(f"{g.ring!r} vs {ring!r}")
     p = ring.p
     guard, flip, check_product = ring.guard, ring.heap_flip, ring.check_product
     heappop, heappush = heapq.heappop, heapq.heappush
-    reducers = [(g.terms[0][0], g.terms, len(g.terms), g.span) for g in basis]
     work = dict(f.terms)
     heap = [e ^ flip for e in work]
     heapq.heapify(heap)
@@ -153,21 +170,24 @@ def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, .
     def key(g):
         return ring.key(g.leading_monomial())
 
-    basis = sorted({g.monic() for g in basis if not g.is_zero()}, key=key)
+    # A divisor's leading term is never the greater, so in ascending order
+    # each element need only be tested against the minimal ones kept before
+    # it: by transitivity, a dropped divisor has a kept divisor of its own.
+    divides = ring.divides
     minimal: list[Polynomial] = []
-    for i, g in enumerate(basis):
+    lts: list[int] = []
+    for g in sorted({g.monic() for g in basis if not g.is_zero()}, key=key):
         lt = g.leading_monomial()
-        if any(
-            ring.divides(h.leading_monomial(), lt)
-            for j, h in enumerate(basis)
-            if j != i and (j < i or h.leading_monomial() != lt)
-        ):
-            continue
-        minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
+        if not any(divides(h, lt) for h in lts):
+            minimal.append(g)
+            lts.append(lt)
+    # LT(g) divides no term below it, so g never rewrites its own tail and
+    # reducing the tail against all of them equals normal_form(g, others).
+    reducers = [_reducer(g) for g in minimal]
+    reduced = [
+        Polynomial(ring, g.terms[:1] + _reduce(Polynomial(ring, g.terms[1:]), reducers).terms)
+        for g in minimal
+    ]
     reduced.sort(key=key, reverse=True)
     return tuple(reduced)
 
@@ -192,6 +212,7 @@ def buchberger(
     budget = _Budget(max_terms)
     divides, lcm = ring.divides, ring.lcm
     basis: list[Polynomial] = []
+    reducers: list[tuple[int, tuple, int, int]] = []
     lts: list[int] = []
     live: list[int] = []
     # (deg(lcm), i, j, lcm) with i < j; the first three entries are the key.
@@ -203,6 +224,7 @@ def buchberger(
         k = len(basis)
         t = h.leading_monomial()
         basis.append(h)
+        reducers.append(_reducer(h))
         lts.append(t)
         # Two leading terms are coprime exactly when their lcm is their product.
         candidates = []
@@ -238,7 +260,7 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise ResourceCap(f"pair budget {max_pairs} exhausted")
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis, budget)
+        remainder = _reduce(s_polynomial(basis[i], basis[j]), reducers, budget)
         if not remainder.is_zero():
             update(remainder.monic())
 

@@ -5,11 +5,36 @@ The action is by linear substitution x_j -> sum_i M[i][j] x_i, which makes
 (gh).f = g.(h.f).  Everything requires p coprime to the group order; the
 Reynolds operator divides by |G|.
 
+Reynolds by Kronecker substitution
+----------------------------------
+All Reynolds images of one degree d are computed in integer arithmetic
+(Kronecker substitution; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 44, 2009).  The image of x_j under
+g is L_{g,j} = sum_i M[i][j] x_i with entries in [0, p).  It is set to
+x_0 = 1 and packed as one int, x_i -> 2^(w * B^(i-1)) for i >= 1 with
+B = d + 1, so the monomial x_1^a_1 .. x_{n-1}^a_{n-1} of a product is the
+slot sum_i a_i B^(i-1) of w bits.  A form of degree d has every a_i <= d < B,
+so distinct monomials get distinct slots, and x_0's exponent is d minus
+the rest.  For each element the powers L^0 .. L^d are one chain of integer
+products, and |G| R(x^e) = sum_g prod_j L_{g,j}^{e_j} is a sum of products
+of those ints.
+
+No slot carries into its neighbour.  Every coefficient of prod_j L^{e_j},
+taken over Z, is nonnegative and at most the product's value at x = 1,
+which is at most (n(p - 1))^d; the orbit sum of a form whose coefficients add up to W
+is then at most |G| W (n(p - 1))^d in every slot, and W = 1 for a
+monomial.  The slot width w is that bound's bit length rounded up to whole
+bytes, so 2^w exceeds it, and each sum is decoded once: ``to_bytes`` and
+one slice per degree-d monomial give the exact integer coefficients, which
+are reduced mod p and scaled by 1/|G|.  B and w both grow with d, so the
+packed powers are rebuilt for every degree.
+
 The invariant ideal nR is accumulated degree by degree and the loop stops at
-the first degree d where every degree-d monomial already reduces to zero:
-any higher-degree invariant lies in m^d, hence in the accumulated ideal.
-That degree is asserted to be at most |G|; crossing the bound can only mean
-an implementation bug or a modular leak, so it is an internal error.
+the first degree d where every degree-d monomial lies in the leading-term
+ideal: any higher-degree invariant lies in m^d, hence in the accumulated
+ideal.  That degree is asserted to be at most |G|; crossing the bound can
+only mean an implementation bug or a modular leak, so it is an internal
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +43,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ModularCase,
@@ -26,9 +52,9 @@ from .errors import (
     PreconditionViolated,
     ResourceCap,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, buchberger
 from .ideals import Ideal
-from .poly import Polynomial, PolyRing, monomials_of_degree
+from .poly import Exponents, Polynomial, PolyRing, monomials_of_degree
 from .scalar import PrimeField, rational
 
 DEFAULT_MAX_GROUP = 5000
@@ -127,48 +153,94 @@ def group_closure(
     return MatrixGroup(field, n, tuple(sorted(seen)))
 
 
-def reynolds(
-    f: Polynomial, G: MatrixGroup, tables: Optional[list[list[list[tuple]]]] = None
-) -> Polynomial:
+def _orbit_sums(
+    ring: PolyRing, G: MatrixGroup, d: int, rows: Sequence[Sequence[tuple[Exponents, int]]]
+) -> Iterator[dict[int, int]]:
+    """Reynolds images of degree-d forms by Kronecker substitution.
+
+    Each row is a form given as (exponents, coefficient) pairs, every
+    exponent vector of degree d and every coefficient in [0, p); each image
+    comes out as a term dict for ``ring._from_dict``.  The packed powers of
+    every element's variable images are built once per call and shared by
+    all rows (see the module docstring for the packing and its slot width).
+    """
+    if d > ring.max_degree:
+        raise ring._too_wide()
+    n, p = ring.n, ring.p
+    weight = max((sum(c for _, c in row) for row in rows), default=0)
+    slot = ((G.order * weight * (n * (p - 1)) ** d).bit_length() + 7) // 8
+    base = d + 1
+    shifts = [0] + [8 * slot * base ** (i - 1) for i in range(1, n)]
+    # columns[j][k][g]: the packed k-th power of x_j's image under the g-th
+    # element.  Elements that share a column share its powers.
+    columns = []
+    for j in range(n):
+        chains: dict[tuple[int, ...], list[int]] = {}
+        per_element = []
+        for m in G.elements:
+            image = tuple(m[i][j] for i in range(n))
+            if image not in chains:
+                packed = sum(a << s for a, s in zip(image, shifts))
+                chain = [1]
+                for _ in range(d):
+                    chain.append(chain[-1] * packed)
+                chains[image] = chain
+            per_element.append(chains[image])
+        columns.append(list(zip(*per_element)))
+    # Byte offset of each degree-d monomial's slot: x_0 is set to 1, and
+    # x_i (i >= 1) counts base^(i-1) slots.
+    degree_d = monomials_of_degree(n, d)
+    offsets = [slot * sum(a * base ** (i - 1) for i, a in enumerate(e) if i) for e in degree_d]
+    monos = [ring.pack(e) for e in degree_d]
+    size = slot * base ** (n - 1)
+    scale = G.field.inv(G.order % p)
+    from_bytes = int.from_bytes
+    for row in rows:
+        total = 0
+        for e, c in row:
+            products = columns[0][e[0]]
+            for j in range(1, n):
+                products = map(mul, products, columns[j][e[j]])
+            total += c * sum(products)
+        packed = total.to_bytes(size, "little")
+        coefficients = [from_bytes(packed[o : o + slot], "little") % p for o in offsets]
+        yield {m: c * scale % p for m, c in zip(monos, coefficients) if c}
+
+
+def reynolds(f: Polynomial, G: MatrixGroup) -> Polynomial:
     """(1/|G|) sum of the orbit of f; an idempotent projection onto invariants.
 
-    The orbit is summed into one term dict and sorted once.  tables holds
-    ``PolyRing.linear_powers`` of every group element, in the order of
-    G.elements and of degree at least deg f; it is built here when omitted.
+    Each homogeneous component of f is one row of ``_orbit_sums``.
     """
     ring = f.ring
     if ring.field != G.field or ring.n != G.n:
         raise PreconditionViolated("polynomial and group live over different spaces")
-    if tables is None:
-        degree = max(f.total_degree(), 0)
-        tables = [ring.linear_powers(m, degree) for m in G.elements]
-    acc = f.substitute_into({}, tables)
-    p = ring.p
-    scale = G.field.inv(G.order % p)
-    return ring._from_dict({e: c * scale % p for e, c in acc.items()})
+    components: dict[int, list[tuple[Exponents, int]]] = {}
+    for m, c in f.terms:
+        components.setdefault(ring.degree(m), []).append((ring.unpack(m), c))
+    acc: dict[int, int] = {}
+    for d, row in components.items():
+        (image,) = _orbit_sums(ring, G, d, [row])
+        acc.update(image)
+    return ring._from_dict(acc)
 
 
-def invariant_basis(
-    ring: PolyRing,
-    G: MatrixGroup,
-    d: int,
-    tables: Optional[list[list[list[tuple]]]] = None,
-) -> list[Polynomial]:
+def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
     """Basis of the degree-d invariants: Reynolds images, row-reduced.
 
     Rows are reduced against each other in descending monomial order, so the
     output is deterministic and each basis element has a distinct leading
-    monomial.  The powers of every element's images of the variables are
-    shared by all monomials: tables holds them as ``reynolds`` takes them,
-    of degree at least d, and is built here when omitted.
+    monomial.  The images of all degree-d monomials come from one
+    ``_orbit_sums`` call.
     """
+    if ring.field != G.field or ring.n != G.n:
+        raise PreconditionViolated("ring and group live over different spaces")
     if d < 1:
         raise PreconditionViolated("degree must be >= 1")
-    if tables is None:
-        tables = [ring.linear_powers(m, d) for m in G.elements]
     pivots: dict[int, Polynomial] = {}
-    for exps in monomials_of_degree(ring.n, d):
-        g = reynolds(ring.monomial(exps), G, tables)
+    rows = [[(e, 1)] for e in monomials_of_degree(ring.n, d)]
+    for acc in _orbit_sums(ring, G, d, rows):
+        g = ring._from_dict(acc)
         while not g.is_zero():
             holder = pivots.get(g.leading_monomial())
             if holder is None:
@@ -200,27 +272,25 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
     """The ideal of R generated by all positive-degree invariants.
 
     Accumulates invariant_basis degree by degree; stops at the first degree
-    whose monomials all reduce to zero against the accumulated basis.  The
-    stop degree may not exceed |G|.  Each element's table of linear powers
-    is built once and grown by one power per degree.
+    where every monomial is divisible by a leading monomial of the
+    accumulated basis.  nR is homogeneous, so its standard monomials of
+    degree d span (S/nR)_d, and that test says (S/nR)_d = 0, i.e. every
+    degree-d monomial reduces to zero.  The stop degree may not exceed |G|.
     """
     if ring.field != G.field or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
     by_degree: dict[int, list[Polynomial]] = {}
     gens: list[Polynomial] = []
     basis: Optional[GroebnerBasis] = None
-    tables = [ring.linear_powers(m, 1) for m in G.elements]
     for d in range(1, G.order + 1):
-        for table in tables:
-            ring.grow_powers(table, d)
-        layer = invariant_basis(ring, G, d, tables)
+        layer = invariant_basis(ring, G, d)
         if layer:
             by_degree[d] = layer
             gens.extend(layer)
             basis = buchberger(ring, gens)
         if basis is not None and all(
-            normal_form(ring.monomial(e), basis.basis).is_zero()
-            for e in monomials_of_degree(ring.n, d)
+            any(ring.divides(g.leading_monomial(), m) for g in basis.basis)
+            for m in map(ring.pack, monomials_of_degree(ring.n, d))
         ):
             ideal = Ideal(ring, tuple(gens))
             colength = basis.colength()

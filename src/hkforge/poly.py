@@ -52,6 +52,11 @@ Arithmetic that combines many terms collects them in one
 ``dict[monomial -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
 when the result is built; no intermediate ``Polynomial`` is made.  Products
 and linear substitution share one dict-multiply loop (``_mul_into``).
+
+A packed monomial holds one monomial; the Reynolds operator in
+``invariants`` packs a whole polynomial into one int instead (Kronecker
+substitution, slots of whole bytes), multiplies those ints, and hands the
+decoded coefficients to ``_from_dict`` keyed by ``pack``ed monomials.
 """
 
 from __future__ import annotations
@@ -407,36 +412,26 @@ class PolyRing:
         """Powers of the images of the variables under x_j -> sum_i M[i][j] x_i.
 
         ``table[j][k]`` holds the terms of (sum_i M[i][j] x_i)^k for
-        0 <= k <= max(degree, 1).  Build it once per matrix, raise its
-        degree with ``grow_powers``, and hand it to
-        ``Polynomial.substitute_into`` for every polynomial of degree at most
-        ``degree``.
+        0 <= k <= max(degree, 1); images of monomials of degree at most
+        ``degree`` fit the fields when ``degree`` does.
         """
         n = self.n
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise RingMismatch(f"substitution matrix must be {n}x{n}")
+        if degree > self.max_degree:
+            raise self._too_wide()
         p = self.p
         table = []
         for j in range(n):
             image = tuple(
                 (self._units[i], matrix[i][j] % p) for i in range(n) if matrix[i][j] % p
             )
-            table.append([((0, 1),), image])
-        return self.grow_powers(table, degree)
-
-    def grow_powers(self, table: list[list[tuple]], degree: int) -> list[list[tuple]]:
-        """Extend a ``linear_powers`` table to ``degree``, in place, and
-        return it.  Images of monomials of degree at most ``degree`` fit the
-        fields when ``degree`` does."""
-        if degree > self.max_degree:
-            raise self._too_wide()
-        p = self.p
-        for powers in table:
-            image = powers[1]
+            powers = [((0, 1),), image]
             while len(powers) <= degree:
                 powers.append(
                     tuple((e, c) for e, c in _mul_into({}, powers[-1], image, p).items() if c)
                 )
+            table.append(powers)
         return table
 
     def convert(self, f: "Polynomial") -> "Polynomial":
@@ -614,24 +609,18 @@ class Polynomial:
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "Polynomial":
         """Image under x_j -> sum_i M[i][j] x_i (column action)."""
-        table = self.ring.linear_powers(matrix, max(self.total_degree(), 0))
-        return self.ring._from_dict(self.substitute_into({}, [table]))
-
-    def substitute_into(self, acc: dict, tables: Sequence[list[list[tuple]]]) -> dict:
-        """Add the images of self under several linear substitutions into
-        the term dict acc and return acc; each table comes from
-        ``PolyRing.linear_powers`` with a degree of at least deg self."""
-        p = self.ring.p
+        ring = self.ring
+        p = ring.p
+        table = ring.linear_powers(matrix, max(self.total_degree(), 0))
         one = ((0, 1),)
-        terms = [(self.ring.unpack(m), c) for m, c in self.terms]
-        for table in tables:
-            for e, c in terms:
-                factors = [table[j][k] for j, k in enumerate(e) if k] or [one]
-                part = factors[0] if c == 1 else tuple((m, a * c % p) for m, a in factors[0])
-                for factor in factors[1:-1]:
-                    part = tuple(_mul_into({}, part, factor, p).items())
-                _mul_into(acc, part, factors[-1] if len(factors) > 1 else one, p)
-        return acc
+        acc: dict[int, int] = {}
+        for m, c in self.terms:
+            factors = [table[j][k] for j, k in enumerate(ring.unpack(m)) if k] or [one]
+            part = factors[0] if c == 1 else tuple((e, a * c % p) for e, a in factors[0])
+            for factor in factors[1:-1]:
+                part = tuple(_mul_into({}, part, factor, p).items())
+            _mul_into(acc, part, factors[-1] if len(factors) > 1 else one, p)
+        return ring._from_dict(acc)
 
     def partial_derivative(self, i: int) -> "Polynomial":
         ring = self.ring

@@ -11,6 +11,11 @@ bound D, with truncated rows and the leading monomial as pivot; the grown
 frame must give the same colengths, memberships and certified values.
 ``reference_buchberger`` queues every pair and skips a coprime one when it is
 popped; ``buchberger`` must return the identical reduced basis.
+``naive_reynolds`` sums the ``substitute_linear`` images of the orbit, and
+``reference_invariant_basis`` runs the pivot loop on orbit sums grown one
+variable at a time; the Kronecker kernel behind ``reynolds`` and
+``invariant_basis`` must give identical polynomials, on the fixed groups and
+on densely conjugated ones over primes up to 2^31 - 1.
 The packed-monomial operations of ``PolyRing`` must agree with their
 definitions on exponent tuples, and reduced bases with sympy's, when sympy
 is installed.  ``reference_count_standard`` is the split-and-minimalize
@@ -25,16 +30,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkforge import groebner
-from hkforge.errors import ResourceCap
+from hkforge.errors import ModularCase, ResourceCap
 from hkforge.groebner import (
     _Budget,
     _interreduce,
+    _reduce,
     _staircase_count,
     buchberger,
     normal_form,
     s_polynomial,
 )
-from hkforge.invariants import group_closure, reynolds
+from hkforge.invariants import group_closure, invariant_basis, reynolds
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
 
@@ -287,21 +293,158 @@ GROUPS = [
 ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(GROUPS), st.data())
+def naive_reynolds(f, G):
+    """(1/|G|) times the sum of the substitute_linear images of f."""
+    orbit_sum = f.ring.zero()
+    for m in G.elements:
+        orbit_sum = orbit_sum + f.substitute_linear(m)
+    return orbit_sum * G.field.inv(G.order % G.p)
+
+
+def reference_invariant_basis(R, G, top):
+    """invariant_basis for every degree up to top, from naive orbit sums: the
+    image of x^e under each element is that of x^e / x_j times x_j's image,
+    j the first variable of x^e, and the rows go through the same pivot loop."""
+    one = (0,) * R.n
+    images = []
+    for m in G.elements:
+        columns = [
+            R.from_terms((tuple(int(k == i) for k in range(R.n)), m[i][j]) for i in range(R.n))
+            for j in range(R.n)
+        ]
+        images.append((columns, {one: R.one()}))
+    scale = G.field.inv(G.order % G.p)
+    bases = {}
+    for d in range(1, top + 1):
+        pivots = {}
+        for e in monomials_of_degree(R.n, d):
+            j = next(i for i, a in enumerate(e) if a)
+            below = tuple(a - (i == j) for i, a in enumerate(e))
+            g = R.zero()
+            for columns, memo in images:
+                memo[e] = memo[below] * columns[j]
+                g = g + memo[e]
+            g = g * scale
+            while not g.is_zero() and g.leading_monomial() in pivots:
+                g = g - pivots[g.leading_monomial()] * g.leading_coefficient()
+            if not g.is_zero():
+                pivots[g.leading_monomial()] = g.monic()
+        bases[d] = [pivots[k] for k in sorted(pivots, key=R.key, reverse=True)]
+    return bases
+
+
+KERNEL_PRIMES = PRIMES + (LARGEST_PRIME,)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(p, a, b):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _inverse(p, a):
+    """Gauss-Jordan inverse of an invertible matrix mod p."""
+    n = len(a)
+    rows = [list(row) + unit for row, unit in zip(a, _identity(n))]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] % p)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _root_of_unity(p, k):
+    """An element of exact multiplicative order k in F_p; k divides p - 1."""
+    for a in range(2, p):
+        z = pow(a, (p - 1) // k, p)
+        if all(pow(z, k // q, p) != 1 for q in range(2, k + 1) if k % q == 0):
+            return z
+    return 1
+
+
+def conjugated(p, gens, change):
+    """A g A^-1 for every generator g: the same group in the coordinates of A."""
+    inverse = _inverse(p, change)
+    return [_mat_mul(p, _mat_mul(p, change, g), inverse) for g in gens]
+
+
+@st.composite
+def dense_groups(draw, max_order=24):
+    """(p, generators): some of a cyclic shift, a swap and diag(z, 1, .., 1),
+    z a root of unity, conjugated by a random dense matrix.  When they make
+    a group of order divisible by p or above max_order, diag(z, 1, .., 1)
+    alone stands in."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([k for k in (1, 2, 3, 4, 6) if (p - 1) % k == 0]))
+    diagonal = _identity(n)
+    diagonal[0][0] = _root_of_unity(p, k)
+    menu = [diagonal]
+    if n > 1:
+        menu.append([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        swap = _identity(n)
+        swap[0][0] = swap[1][1] = 0
+        swap[0][1] = swap[1][0] = 1
+        menu.append(swap)
+    gens = draw(st.lists(st.sampled_from(menu), min_size=1, max_size=2))
+    try:
+        group_closure(p, gens, cap=max_order)
+    except (ModularCase, ResourceCap):
+        gens = [diagonal]  # of order k, which divides p - 1
+    # A dense change of coordinates, invertible as a lower unitriangular
+    # times an upper triangular matrix with a nonzero diagonal.
+    a = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    lower = [[1 if i == j else a[i * n + j] * (j < i) for j in range(n)] for i in range(n)]
+    upper = [[max(a[i * n + j], 1) if i == j else a[i * n + j] * (j > i) for j in range(n)]
+             for i in range(n)]
+    return p, conjugated(p, gens, _mat_mul(p, lower, upper))
+
+
+@st.composite
+def forms(draw, R, max_degree=8, max_terms=4):
+    """Sums of 1 to max_terms terms of degree at most max_degree."""
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        cuts = sorted(draw(st.lists(st.integers(0, draw(st.integers(0, max_degree))),
+                                    min_size=R.n - 1, max_size=R.n - 1)))
+        top = draw(st.integers(cuts[-1] if cuts else 0, max_degree))
+        e = tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+        terms.append((e, draw(st.integers(1, R.p - 1))))
+    return R.from_terms(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(GROUPS), dense_groups()), st.data())
 def test_reynolds_is_the_naive_orbit_sum(group, data):
     p, gens = group
     G = group_closure(p, gens)
     R = PolyRing(p, NAMES[: G.n], MonomialOrder(data.draw(st.sampled_from(("lex", "grevlex")))))
-    f = data.draw(polys(R, max_terms=4, max_exp=3))
-    orbit_sum = R.zero()
-    for m in G.elements:
-        orbit_sum = orbit_sum + f.substitute_linear(m)
-    expected = orbit_sum * G.field.inv(G.order % p)
-    assert reynolds(f, G) == expected
-    degree = max(f.total_degree(), 0) + data.draw(st.integers(0, 2))
-    tables = [R.linear_powers(m, degree) for m in G.elements]
-    assert reynolds(f, G, tables) == expected
+    f = data.draw(forms(R))
+    assert reynolds(f, G) == naive_reynolds(f, G)
+
+
+# GROUPS in dense coordinates; the last is a cyclic shift of order 3 over F_101.
+CONJUGATED_GROUPS = [
+    (p, conjugated(p, gens, [[2, 1], [1, 1]])) for p, gens in GROUPS if len(gens[0]) == 2
+] + [
+    (101, conjugated(101, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]], [[1, 2, 3], [0, 5, 7], [4, 0, 9]])),
+]
+
+
+@pytest.mark.parametrize("p, gens", GROUPS + CONJUGATED_GROUPS)
+def test_invariant_basis_is_the_naive_pivot_loop(p, gens):
+    G = group_closure(p, gens)
+    R = PolyRing(p, NAMES[: G.n])
+    expected = reference_invariant_basis(R, G, G.order)
+    for d in range(1, G.order + 1):
+        assert invariant_basis(R, G, d) == expected[d]
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,8 +493,8 @@ def test_buchberger_matches_all_pairs_reference(R, data):
             queued.append(entry[1:3])
         heappush(heap, entry)
 
-    def normal_form_spy(f, basis, budget=None):
-        remainder = normal_form(f, basis, budget)
+    def reduce_spy(f, reducers, budget=None):
+        remainder = _reduce(f, reducers, budget)
         if budget is not None and not remainder.is_zero():
             lts.append(remainder.leading_exponents())
         return remainder
@@ -359,7 +502,7 @@ def test_buchberger_matches_all_pairs_reference(R, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heapq, "heapify", heapify_spy)
         mp.setattr(heapq, "heappush", heappush_spy)
-        mp.setattr(groebner, "normal_form", normal_form_spy)
+        mp.setattr(groebner, "_reduce", reduce_spy)
         G = buchberger(R, gens, max_terms=200_000)
     assert G.basis == expected
     assert all(i < j and any(map(min, lts[i], lts[j])) for i, j in set(queued))
@@ -454,19 +597,6 @@ def test_products_past_the_field_raise_resource_cap(R, data):
             assert not too_wide
         except ResourceCap:
             assert too_wide
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(GROUPS), st.integers(1, 6))
-def test_grown_power_tables_equal_fresh_ones(group, degree):
-    p, gens = group
-    G = group_closure(p, gens)
-    R = PolyRing(p, NAMES[: G.n])
-    for m in G.elements:
-        table = R.linear_powers(m, 1)
-        for d in range(1, degree + 1):
-            R.grow_powers(table, d)
-        assert table == R.linear_powers(m, degree)
 
 
 def _monic_terms(terms, p):
