@@ -31,7 +31,6 @@ from .linkage import (
     LinkageDatum,
     ReciprocityReport,
     corner_power,
-    deviation,
     gorenstein_parity_check,
     hk_table,
     link,
@@ -76,7 +75,6 @@ __all__ = [
     "buchberger",
     "colength_bruteforce",
     "corner_power",
-    "deviation",
     "gorenstein_parity_check",
     "group_closure",
     "hk_table",

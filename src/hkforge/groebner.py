@@ -297,9 +297,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.basis)
 
-    def is_zero_ideal(self) -> bool:
-        return not self.basis
-
     def is_unit_ideal(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.basis)
 

@@ -101,10 +101,6 @@ class Ideal:
 
     # -- constructions --------------------------------------------------------
 
-    def plus(self, other: "Ideal") -> "Ideal":
-        self.ring.check_same(other.ring)
-        return Ideal(self.ring, self.gens + other.gens, self.presentation)
-
     def bracket_power(self, q: int) -> "Ideal":
         """{g^q} + C over R: independent of the chosen lifts.  I^[1] is I
         itself; any other q gives a new ideal, with no Groebner basis yet."""
@@ -116,7 +112,8 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Lift of I cap lift of J, an ideal of S: eliminate t from
-        t*I + (1-t)*J in S[t]."""
+        t*I + (1-t)*J in S[t].  The t-free part of the elim(1) basis already
+        generates it, and over a grevlex ring it is the reduced basis."""
         self.ring.check_same(other.ring)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
@@ -145,9 +142,10 @@ class Ideal:
         """(I : J) as the intersection over generators g of (I cap (g))/g.
 
         The g run over the lift of J and the result lives over the
-        presentation of I.  A generator g in I has (I : (g)) = (1), the
-        identity for the intersection, so it is skipped; when every g is in I
-        the colon is (1).
+        presentation of I.  The generators `intersect` returns for I cap (g)
+        are divided by g as they are, with no basis of their own.  A
+        generator g in I has (I : (g)) = (1), the identity for the
+        intersection, so it is skipped; when every g is in I the colon is (1).
         """
         self.ring.check_same(other.ring)
         if other.is_zero():
@@ -156,10 +154,8 @@ class Ideal:
         for g in other.lift_gens:
             if self.contains(g):
                 continue
-            part = Ideal(
-                self.ring,
-                [_exact_divide(h, g) for h in self.intersect(Ideal(self.ring, [g])).groebner().basis],
-            )
+            meet = self.intersect(Ideal(self.ring, [g]))
+            part = Ideal(self.ring, [_exact_divide(h, g) for h in meet.gens])
             result = part if result is None else result.intersect(part)
         gens = result.gens if result is not None else (self.ring.one(),)
         return Ideal(self.ring, gens, self.presentation)

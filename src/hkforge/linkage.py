@@ -147,11 +147,6 @@ def corner_power(L: LinkageDatum, q: int) -> Ideal:
     return L.I if q == 1 else L.a.bracket_power(q).colon(L.J.bracket_power(q))
 
 
-def deviation(L: LinkageDatum, q: int) -> int:
-    """colength(I^[q]) - colength(corner(q)), always >= 0."""
-    return _row(L, q).deviation
-
-
 def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
     """Single-q projective-dimension certificate, valid over CI presentations.
 

@@ -97,10 +97,6 @@ class MacaulayFrame:
         return e is None or e[0] >= self.bound
 
 
-def colength_truncated(ring: PolyRing, gens: Sequence[Polynomial], bound: int) -> int:
-    return MacaulayFrame(ring, gens, bound).colength
-
-
 def colength_bruteforce(
     ring: PolyRing, gens: Iterable[Polynomial], d_max: int = DEFAULT_D_MAX
 ) -> Optional[int]:

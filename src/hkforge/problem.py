@@ -70,7 +70,7 @@ def problem_from_dict(data) -> ProblemFile:
         raise ParseError("'order' must be a string")
     try:
         order = MonomialOrder.parse(order_text)
-    except (PreconditionViolated, ValueError) as exc:
+    except PreconditionViolated as exc:
         raise ParseError(f"bad 'order': {exc}") from exc
     ring = PolyRing(p, tuple(names), order)
 
@@ -115,6 +115,8 @@ def load_problem(path: str) -> ProblemFile:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"problem file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return problem_from_dict(data)

@@ -276,6 +276,13 @@ def test_exit_code_2_preconditions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["elim(x)", "elim()"])
+def test_order_with_a_non_integer_block_exits_2(capsys, order):
+    code = cli.main(["gb", "--in", path("ops.json"), "--ideal", "mixed", "--order", order])
+    assert code == 2
+    assert "unknown monomial order" in capsys.readouterr().err
+
+
 def test_exit_code_3_parse_errors(capsys, tmp_path):
     code, _ = run(capsys, "dim", "--in", path("ops.json"), "--ideal", "nope")
     assert code == 3

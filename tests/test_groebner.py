@@ -235,5 +235,5 @@ def test_zero_ideal_basis():
     R = ring2()
     G = buchberger(R, [])
     assert isinstance(G, GroebnerBasis)
-    assert G.is_zero_ideal()
+    assert not G.basis
     assert G.normal_form(R.variable(0)) == R.variable(0)

@@ -64,10 +64,10 @@ def test_colon_galois_connection_and_antitonicity():
         for f in J.gens:
             for g in Q.gens:
                 assert I.contains(f * g)
-        bigger = I.plus(Ideal.of(x * y))
+        bigger = Ideal(R, I.gens + (x * y,))
         assert bigger.colon(J).contains_ideal(I.colon(J)) or bigger.equals(I)
         # antitone in the second argument: J ext contains J, so (I : J_ext) c (I : J)
-        J_ext = J.plus(Ideal.of(y ** rng.randint(1, 2)))
+        J_ext = Ideal(R, J.gens + (y ** rng.randint(1, 2),))
         assert I.colon(J).contains_ideal(I.colon(J_ext))
 
 
@@ -84,6 +84,27 @@ def test_colon_by_an_ideal_inside_i_is_the_unit_ideal(monkeypatch):
     assert calls == []
     assert Q.groebner().basis == (R.one(),)
     assert Q.is_unit()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_colon_runs_buchberger_twice_per_generator_outside_i_but_once(monkeypatch, k):
+    # One elimination for each generator g outside I and one intersection for
+    # each part after the first; the generators of I cap (g) are divided by g
+    # as they come, with no basis of their own.
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    I = Ideal.of(x**3, y**3)
+    I.groebner()
+    J = Ideal(R, [x + y, x * y, y**2][:k])
+    runs = []
+    buchberger = ideals.buchberger
+    monkeypatch.setattr(
+        ideals, "buchberger", lambda ring, gens: runs.append(1) or buchberger(ring, gens)
+    )
+    Q = I.colon(J)
+    assert len(runs) == 2 * k - 1
+    monkeypatch.undo()
+    assert all(I.contains(f * g) for f in J.gens for g in Q.gens)
 
 
 def test_colon_skips_generators_inside_i():

@@ -12,7 +12,6 @@ from hkforge.linkage import (
     FINITE,
     INFINITE_PD,
     corner_power,
-    deviation,
     gorenstein_parity_check,
     hk_table,
     link,
@@ -134,15 +133,15 @@ def test_corner_power_examples():
 def test_deviation_values():
     R, P = free2()
     x, y = R.variable(0), R.variable(1)
-    L = link(P.ideal([x, y]), P.ideal([x**2, y**2]))
-    assert deviation(L, 5) == 0
-    assert deviation(L, 1) == 0
+    rows = reciprocity_report(P.ideal([x, y]), P.ideal([x**2, y**2]), n_max=2).rows
+    assert rows[1].deviation == 0
+    assert rows[0].deviation == 0
 
     _, _, In, an = node()
-    Ln = link(In, an)
-    assert deviation(Ln, 1) == 0
-    assert deviation(Ln, 5) == 8
-    assert deviation(Ln, 25) == 48
+    rows = reciprocity_report(In, an, n_max=2).rows
+    assert rows[0].deviation == 0
+    assert rows[1].deviation == 8
+    assert rows[2].deviation == 48
 
 
 def test_pd_probe():
@@ -334,7 +333,7 @@ def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
     problem = os.path.join(os.path.dirname(__file__), "..", "problems", "sphere.json")
     argv = ["reciprocity", "--in", problem, "--ideal", "I", "--ci", "a", "--nmax", "3"]
     assert cli.main(argv) == 0
-    assert len(runs) == len(set(runs)) == 40
+    assert len(runs) == len(set(runs)) == 31
     assert len(colons) == 2 + 3  # link's two, then one per q > 1
     assert json.loads(capsys.readouterr().out)["rows"][3]["len_corner"] == 2 * 125**2
 

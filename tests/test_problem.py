@@ -74,6 +74,8 @@ def test_non_ci_quotient_rejected():
         {"p": 5, "vars": "xy"},
         {"p": 5, "vars": ["x"], "order": 3},
         {"p": 5, "vars": ["x"], "order": "mystery"},
+        {"p": 5, "vars": ["x"], "order": "elim(x)"},
+        {"p": 5, "vars": ["x"], "order": "elim()"},
         {"p": 5, "vars": ["x"], "quotient": "x^2"},
         {"p": 5, "vars": ["x"], "ideals": ["x"]},
         {"p": 5, "vars": ["x"], "ideals": {"I": "x"}},
@@ -105,6 +107,13 @@ def test_missing_file_and_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError):
+        load_problem(str(bad))
+
+
+def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"p": 5, "vars": ["x"]}'.encode("utf-16-le"))
+    with pytest.raises(ParseError, match="utf16.json"):
         load_problem(str(bad))
 
 
