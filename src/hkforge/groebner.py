@@ -51,10 +51,22 @@ def configure_caps(max_pairs: Optional[int] = None, max_terms: Optional[int] = N
     _cap_overrides["terms"] = max_terms
 
 
+def env_int(name: str, default: int) -> int:
+    """An integer setting from the environment, default when unset;
+    PreconditionViolated naming the variable when it is not an integer."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionViolated(f"{name} must be an integer, not {text!r}") from None
+
+
 def default_max_pairs() -> int:
     if _cap_overrides["pairs"] is not None:
         return _cap_overrides["pairs"]
-    return int(os.environ.get("HKFORGE_MAX_PAIRS", DEFAULT_MAX_PAIRS))
+    return env_int("HKFORGE_MAX_PAIRS", DEFAULT_MAX_PAIRS)
 
 
 def default_max_terms() -> int:
@@ -272,21 +284,17 @@ def buchberger(
 class GroebnerBasis:
     """A reduced Groebner basis with staircase combinatorics on top."""
 
-    __slots__ = ("ring", "basis", "_colength", "_dim")
+    __slots__ = ("ring", "basis", "_colength")
 
     def __init__(self, ring: PolyRing, basis: tuple[Polynomial, ...]):
         self.ring = ring
         self.basis = tuple(basis)
         self._colength = None
-        self._dim = None
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
         return self.ring == other.ring and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ring.signature(), self.basis))
 
     def __repr__(self):
         return f"GroebnerBasis[{'; '.join(str(g) for g in self.basis)}]"
@@ -336,13 +344,8 @@ class GroebnerBasis:
         return _staircase_count(lts)
 
     def krull_dim(self) -> int:
-        if self._dim is None:
-            if self.is_unit_ideal():
-                raise EmptyVariety("the unit ideal has empty vanishing locus")
-            self._dim = self._compute_dim()
-        return self._dim
-
-    def _compute_dim(self) -> int:
+        if self.is_unit_ideal():
+            raise EmptyVariety("the unit ideal has empty vanishing locus")
         n = self.ring.n
         supports = []
         for e in self.staircase():

@@ -39,7 +39,6 @@ error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -52,7 +51,7 @@ from .errors import (
     PreconditionViolated,
     ResourceCap,
 )
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, buchberger, env_int
 from .ideals import Ideal
 from .poly import Exponents, Polynomial, PolyRing, monomials_of_degree
 from .scalar import PrimeField, rational
@@ -63,7 +62,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def default_max_group() -> int:
-    return int(os.environ.get("HKFORGE_MAX_GROUP", DEFAULT_MAX_GROUP))
+    return env_int("HKFORGE_MAX_GROUP", DEFAULT_MAX_GROUP)
 
 
 def _normalize_matrix(field: PrimeField, m: Sequence[Sequence[int]], n: int) -> Matrix:
@@ -254,18 +253,11 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
 @dataclass
 class InvariantIdealResult:
     group_order: int
-    generators_by_degree: dict[int, list[Polynomial]]
+    generators: list[Polynomial]
     d_stop: int
     colength: int
     e_hk: Fraction
     ideal: Ideal
-
-    @property
-    def generators(self) -> list[Polynomial]:
-        out = []
-        for d in sorted(self.generators_by_degree):
-            out.extend(self.generators_by_degree[d])
-        return out
 
 
 def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
@@ -279,13 +271,11 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
     """
     if ring.field != G.field or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
-    by_degree: dict[int, list[Polynomial]] = {}
     gens: list[Polynomial] = []
     basis: Optional[GroebnerBasis] = None
     for d in range(1, G.order + 1):
         layer = invariant_basis(ring, G, d)
         if layer:
-            by_degree[d] = layer
             gens.extend(layer)
             basis = buchberger(ring, gens)
         if basis is not None and all(
@@ -296,7 +286,7 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
             colength = basis.colength()
             return InvariantIdealResult(
                 group_order=G.order,
-                generators_by_degree=by_degree,
+                generators=gens,
                 d_stop=d,
                 colength=int(colength),
                 e_hk=rational(int(colength), G.order),

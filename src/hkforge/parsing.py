@@ -47,9 +47,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -155,7 +155,11 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     parser = _Parser(_tokenize(text), ring)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("parentheses nested too deeply", tok.line, tok.col) from None
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"trailing input starting at {end.text!r}", end.line, end.col)

@@ -3,8 +3,9 @@
 A polynomial is an immutable, canonically sorted tuple of
 (monomial, nonzero int coefficient) terms.  Coefficients are plain ints
 reduced mod p; the ring object owns the field, the active order and the
-packing of monomials.  Frobenius powers, linear substitution and partial
-derivatives live here because they are term-level rewrites.
+packing of monomials.  Frobenius powers and partial derivatives live here
+because they are term-level rewrites; linear substitution, the reference
+group action, is plain polynomial arithmetic.
 
 Packed monomials
 ----------------
@@ -40,7 +41,7 @@ fixed when the ring is made.  A monomial whose block degree does not fit is
 too wide for the ring and raises ``ResourceCap`` (exit 4) wherever one can
 arise: packing a tuple, a product (checked once per ``multiply_monomial``,
 reduction step or polynomial product against the other factor's ``span``),
-an lcm, a Frobenius power or a linear-substitution table.
+an lcm or a Frobenius power.
 
 Tuples remain only at the boundaries: ``pack``/``from_terms``/``monomial``
 take them, ``unpack``/``exponent_terms``/``leading_exponents`` and printing
@@ -50,8 +51,7 @@ work on them.
 
 Arithmetic that combines many terms collects them in one
 ``dict[monomial -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
-when the result is built; no intermediate ``Polynomial`` is made.  Products
-and linear substitution share one dict-multiply loop (``_mul_into``).
+when the result is built; no intermediate ``Polynomial`` is made.
 
 A packed monomial holds one monomial; the Reynolds operator in
 ``invariants`` packs a whole polynomial into one int instead (Kronecker
@@ -170,21 +170,6 @@ def _layout_runs(order: MonomialOrder, n: int) -> list[tuple[list[int], bool]]:
 def exponents_divide(a: Exponents, b: Exponents) -> bool:
     """True when monomial a divides monomial b componentwise."""
     return all(map(le, a, b))
-
-
-def _mul_into(acc: dict, a, b, p: int) -> dict:
-    """Add the product of two term sequences into acc, coefficients mod p.
-
-    The one multiply loop behind ``Polynomial.__mul__`` and linear
-    substitution; the caller makes sure the products fit the fields.  Zero
-    coefficients may stay in acc; ``_from_dict`` drops them.
-    """
-    get = acc.get
-    for ea, ca in a:
-        for eb, cb in b:
-            e = ea + eb
-            acc[e] = (get(e, 0) + ca * cb) % p
-    return acc
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
@@ -405,32 +390,6 @@ class PolyRing:
         ordered = sorted(filter(acc.get, acc), key=self._key_flip.__xor__, reverse=True)
         return Polynomial(self, tuple([(m, acc[m]) for m in ordered]))
 
-    def linear_powers(self, matrix: Sequence[Sequence[int]], degree: int) -> list[list[tuple]]:
-        """Powers of the images of the variables under x_j -> sum_i M[i][j] x_i.
-
-        ``table[j][k]`` holds the terms of (sum_i M[i][j] x_i)^k for
-        0 <= k <= max(degree, 1); images of monomials of degree at most
-        ``degree`` fit the fields when ``degree`` does.
-        """
-        n = self.n
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise RingMismatch(f"substitution matrix must be {n}x{n}")
-        if degree > self.max_degree:
-            raise self._too_wide()
-        p = self.p
-        table = []
-        for j in range(n):
-            image = tuple(
-                (self._units[i], matrix[i][j] % p) for i in range(n) if matrix[i][j] % p
-            )
-            powers = [((0, 1),), image]
-            while len(powers) <= degree:
-                powers.append(
-                    tuple((e, c) for e, c in _mul_into({}, powers[-1], image, p).items() if c)
-                )
-            table.append(powers)
-        return table
-
     def convert(self, f: "Polynomial") -> "Polynomial":
         """Re-sort a polynomial from a ring that differs only in its order."""
         if f.ring.field != self.field or f.ring.names != self.names:
@@ -549,8 +508,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        self.ring.check_product(self.span, other.span)
-        return self.ring._from_dict(_mul_into({}, self.terms, other.terms, self.ring.p))
+        ring = self.ring
+        ring.check_product(self.span, other.span)
+        p = ring.p
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ea, ca in self.terms:
+            for eb, cb in other.terms:
+                e = ea + eb
+                acc[e] = (get(e, 0) + ca * cb) % p
+        return ring._from_dict(acc)
 
     __rmul__ = __mul__
 
@@ -599,19 +566,24 @@ class Polynomial:
         return Polynomial(ring, tuple((m * q, field.pow(c, q)) for m, c in self.terms))
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "Polynomial":
-        """Image under x_j -> sum_i M[i][j] x_i (column action)."""
+        """Image under x_j -> sum_i M[i][j] x_i (column action): the sum of
+        c * prod_j image_j^e_j over the terms, in plain polynomial arithmetic."""
         ring = self.ring
-        p = ring.p
-        table = ring.linear_powers(matrix, max(self.total_degree(), 0))
-        one = ((0, 1),)
-        acc: dict[int, int] = {}
+        n = ring.n
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise RingMismatch(f"substitution matrix must be {n}x{n}")
+        images = [
+            sum((ring.variable(i) * matrix[i][j] for i in range(n)), ring.zero())
+            for j in range(n)
+        ]
+        result = ring.zero()
         for m, c in self.terms:
-            factors = [table[j][k] for j, k in enumerate(ring.unpack(m)) if k] or [one]
-            part = factors[0] if c == 1 else tuple((e, a * c % p) for e, a in factors[0])
-            for factor in factors[1:-1]:
-                part = tuple(_mul_into({}, part, factor, p).items())
-            _mul_into(acc, part, factors[-1] if len(factors) > 1 else one, p)
-        return ring._from_dict(acc)
+            part = ring.constant(c)
+            for image, k in zip(images, ring.unpack(m)):
+                if k:
+                    part = part * image**k
+            result = result + part
+        return result
 
     def partial_derivative(self, i: int) -> "Polynomial":
         ring = self.ring

@@ -8,9 +8,10 @@ canonical reduced form with a positive denominator.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, PreconditionViolated
+from .errors import DivisionByZero, PreconditionViolated, ResourceCap
 
 MAX_MODULUS = 2**31
 
@@ -71,5 +72,10 @@ def rational(num: int, den: int = 1) -> Fraction:
 
 
 def render_rational(q: Fraction) -> str:
-    """Fixed "num/den" rendering used by every serializer."""
-    return f"{q.numerator}/{q.denominator}"
+    """Fixed "num/den" rendering used by every serializer; ResourceCap when a
+    part has more digits than Python converts to a string."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceCap(f"rational exceeds the {limit}-digit limit for printing") from None

@@ -243,9 +243,12 @@ def test_invariant(capsys):
     }
 
 
-def test_bound(capsys):
+def test_bound(capsys, monkeypatch):
     payload = run_json(capsys, "bound", "--n", "2", "--g", "2")
     assert payload == {"bound": "3/2", "two_var_bound": "3/2", "hs_bound": 3}
+    # bound reads neither environment cap, so bad values there do not matter
+    monkeypatch.setenv("HKFORGE_MAX_PAIRS", "abc")
+    monkeypatch.setenv("HKFORGE_MAX_GROUP", "zz")
     payload = run_json(capsys, "bound", "--n", "3", "--g", "4")
     assert payload == {"bound": "5/1"}
 
@@ -418,3 +421,35 @@ def test_largest_prime_fits_the_packed_fields(capsys, tmp_path, argv, digest):
     code, out = run(capsys, argv[0], "--in", str(problem), *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+NESTED_X = "(" * 2000 + "x" + ")" * 2000
+
+
+@pytest.mark.parametrize(
+    "env, poly, argv, code",
+    [
+        ({}, "x^²", ["dim", "--ideal", "I"], 3),
+        ({}, NESTED_X, ["dim", "--ideal", "I"], 3),
+        ({"HKFORGE_MAX_PAIRS": "abc"}, "x", ["gb", "--ideal", "I"], 2),
+        ({"HKFORGE_MAX_PAIRS": ""}, "x", ["colength", "--ideal", "I"], 2),
+        ({"HKFORGE_MAX_GROUP": "zz"}, "x", ["invariant"], 2),
+        ({}, None, ["bound", "--n", "10000", "--g", "10000"], 4),
+    ],
+    ids=["superscript", "nesting", "pairs-env", "pairs-env-empty", "group-env", "bound-digits"],
+)
+def test_crash_inputs_exit_with_a_named_error(capsys, monkeypatch, tmp_path, env, poly, argv, code):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if poly is not None:
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            json.dumps(
+                {"p": 5, "vars": ["x", "y"], "ideals": {"I": [poly]}, "group": [[[4, 0], [0, 4]]]}
+            )
+        )
+        argv = [argv[0], "--in", str(problem), *argv[1:]]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge.errors import ParseError, UnknownVariable
 from hkforge.parsing import parse_polynomial
@@ -136,3 +138,22 @@ def test_expression_exponent_ceiling(ring):
 def test_negative_exponent_rejected(ring):
     with pytest.raises(ParseError):
         parse_polynomial("x^-2", ring)
+
+
+def test_unicode_digits_that_int_accepts_parse(ring):
+    x = ring.variable(0)
+    assert parse_polynomial("x^٣", ring) == x**3
+    assert parse_polynomial("３*x", ring) == 3 * x
+
+
+MIXED_ALPHABET = "0123456789٣３²xyzé_+-*^()  \t\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=MIXED_ALPHABET, max_size=24))
+def test_malformed_input_raises_only_parse_errors(text):
+    ring = PolyRing(5, ("x", "y", "z"))
+    try:
+        parse_polynomial(text, ring)
+    except ParseError:
+        pass
