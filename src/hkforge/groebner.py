@@ -16,15 +16,23 @@ pair (a, b) is dropped when LT(h) divides lcm(a, b) and that lcm differs
 from lcm(a, h) and from lcm(b, h) (criterion B_k).  Then every g with
 LT(h) | LT(g) leaves the live set, though not the basis, which reductions
 still use.  Only the pairs kept are reduced, and only those count against
-the pair budget.
+the pair budget.  The update computes lcm(g, h) once per live g; criterion M
+then tests divisibility of those ints by subtraction and mask, and B_k calls
+no ``lcm`` at all: LT(a) and LT(h) both divide lcm(a, b), so their lcm is
+lcm(a, b) exactly when the variable fields of their fieldwise maximum (one
+masked select) are those of lcm(a, b).
 
-Reduction (``normal_form``) keeps its working polynomial as a term dict
-and a heap of ``PolyRing.heap_key`` ints; it sorts nothing, and the
-remainder comes out already in order.  Polynomials are built sorted once per
-result, never once per reduction step.  Monomials are the ring's packed ints
-(see ``poly``): a product is one ``+``, a divisibility test one subtraction
-and mask.  The colength sweeps the leading exponent tuples along the last
-variable, one slice per breakpoint (``_staircase_count``).
+Reduction (``_reduce``, behind ``normal_form``) keeps its working
+polynomial as a term dict and a heap of ``PolyRing.heap_key`` ints; it
+sorts nothing, and the remainder comes out already in order.  Polynomials
+are built sorted once per result, never once per reduction step.  An S-pair
+is reduced in place: its term dict is built from the two basis tails
+shifted to the pair's queued lcm (``_s_pair``), with the leading terms,
+which cancel, left out, so no S-polynomial is made; ``s_polynomial``
+remains for ``verify`` and callers outside.  Monomials are the ring's packed
+ints (see ``poly``): a product is one ``+``, a divisibility test one
+subtraction and mask.  The colength sweeps the leading exponent tuples
+along the last variable, one slice per breakpoint (``_staircase_count``).
 """
 
 from __future__ import annotations
@@ -92,8 +100,9 @@ class _Budget:
 
 def _reducer(g: Polynomial) -> tuple[int, tuple, int, int]:
     """What ``_reduce`` reads of a monic basis element: its leading monomial,
-    its terms, their number (the budget charge) and its span."""
-    return g.terms[0][0], g.terms, len(g.terms), g.span
+    its other terms, the number of all its terms (the budget charge) and its
+    span."""
+    return g.terms[0][0], g.terms[1:], len(g.terms), g.span
 
 
 def normal_form(
@@ -111,48 +120,48 @@ def normal_form(
     for g in basis:
         if g.ring != ring:
             raise RingMismatch(f"{g.ring!r} vs {ring!r}")
-    return _reduce(f, [_reducer(g) for g in basis], budget)
+    return _reduce(ring, dict(f.terms), [_reducer(g) for g in basis], budget)
 
 
 def _reduce(
-    f: Polynomial,
+    ring: PolyRing,
+    work: dict[int, int],
     reducers: Sequence[tuple[int, tuple, int, int]],
     budget: Optional[_Budget] = None,
 ) -> Polynomial:
-    """``normal_form`` against a list of ``_reducer`` entries, which a caller
-    whose basis only grows keeps and extends instead of rebuilding.
+    """``normal_form`` of the term dict ``work`` (packed monomial to nonzero
+    coefficient, consumed) against a list of ``_reducer`` entries, which a
+    caller whose basis only grows keeps and extends instead of rebuilding.
 
-    The working polynomial is a dict from packed monomials to coefficients
-    plus a min-heap of their heap keys, so the greatest term is popped
-    without re-sorting.  An entry whose monomial cancelled is skipped when
-    popped (lazy deletion).  Terms come off the heap in descending order, so
-    the irreducible ones already form the sorted result.
+    The dict is the working polynomial; a min-heap of the heap keys of its
+    monomials pops the greatest term without re-sorting.  An entry whose
+    monomial cancelled is skipped when popped (lazy deletion).  Terms come
+    off the heap in descending order, so the irreducible ones already form
+    the sorted result.  A monic reducer's leading term cancels the popped
+    term exactly, so only its tail is added.
     """
-    ring = f.ring
     p = ring.p
     guard, flip, check_product = ring.guard, ring.heap_flip, ring.check_product
     heappop, heappush = heapq.heappop, heapq.heappush
-    work = dict(f.terms)
     heap = [e ^ flip for e in work]
     heapq.heapify(heap)
     tail: list[tuple[int, int]] = []
     while heap:
         e = heappop(heap) ^ flip
-        c = work.get(e)
+        c = work.pop(e, None)
         if c is None:
             continue
-        for lt, terms, size, span in reducers:
+        for lt, rest, size, span in reducers:
             if not (e - lt) & guard:
                 break
         else:
             tail.append((e, c))
-            del work[e]
             continue
         if budget is not None:
             budget.charge(size)
         shift = e - lt
         check_product(shift, span)
-        for eg, cg in terms:
+        for eg, cg in rest:
             m = eg + shift
             old = work.get(m)
             if old is None:
@@ -164,9 +173,35 @@ def _reduce(
                     work[m] = new
                 else:
                     del work[m]
-        if e in work:
-            heappush(heap, e ^ flip)
     return Polynomial(ring, tuple(tail))
+
+
+def _s_pair(
+    ring: PolyRing,
+    f: tuple[int, tuple, int, int],
+    g: tuple[int, tuple, int, int],
+    gamma: int,
+) -> dict[int, int]:
+    """The term dict of the S-polynomial of two ``_reducer`` entries whose
+    leading monomials have lcm gamma: the shifted tails, f's minus g's.  The
+    leading terms, both gamma with coefficient 1, cancel and are left out.
+    Checks that the shifts fit in the order ``s_polynomial`` does."""
+    lt_f, rest_f, _, span_f = f
+    lt_g, rest_g, _, span_g = g
+    shift_f, shift_g = gamma - lt_f, gamma - lt_g
+    ring.check_product(shift_f, span_f)
+    ring.check_product(shift_g, span_g)
+    p = ring.p
+    work = {m + shift_f: c for m, c in rest_f}
+    for m, c in rest_g:
+        m += shift_g
+        # m absent leaves -c, which is nonzero; only a present term can cancel.
+        new = (work.get(m, 0) - c) % p
+        if new:
+            work[m] = new
+        else:
+            del work[m]
+    return work
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -197,7 +232,7 @@ def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, .
     # reducing the tail against all of them equals normal_form(g, others).
     reducers = [_reducer(g) for g in minimal]
     reduced = [
-        Polynomial(ring, g.terms[:1] + _reduce(Polynomial(ring, g.terms[1:]), reducers).terms)
+        Polynomial(ring, g.terms[:1] + _reduce(ring, dict(g.terms[1:]), reducers).terms)
         for g in minimal
     ]
     reduced.sort(key=key, reverse=True)
@@ -222,7 +257,13 @@ def buchberger(
     for g in gens:
         ring.check_same(g.ring)
     budget = _Budget(max_terms)
-    divides, lcm = ring.divides, ring.lcm
+    lcm, guard = ring.lcm, ring.guard
+    # For the lcm-free B_k test: a field's guard bit shifted down to its
+    # lowest bit, times ``field``, fills the field (a masked select as in
+    # ``PolyRing._field_max``), and ``var_mask`` covers the variable fields,
+    # which determine the degree fields that ``lcm`` recounts.
+    top, field = ring.width - 1, (1 << ring.width) - 1
+    var_mask = sum(block[1] for block in ring._blocks)
     basis: list[Polynomial] = []
     reducers: list[tuple[int, tuple, int, int]] = []
     lts: list[int] = []
@@ -238,41 +279,49 @@ def buchberger(
         basis.append(h)
         reducers.append(_reducer(h))
         lts.append(t)
-        # Two leading terms are coprime exactly when their lcm is their product.
-        candidates = []
-        for i in live:
-            gamma = lcm(lts[i], t)
-            candidates.append((i, gamma, gamma == lts[i] + t))
-        # Criterion M: a candidate goes when the lcm of a later candidate or of
-        # one already kept divides its own; coprime candidates stay, so that
-        # they still rule out the others, and criterion F drops them below.
-        kept = []
-        for pos, (i, gamma, coprime) in enumerate(candidates):
-            rivals = candidates[pos + 1 :] + kept
-            if coprime or not any(divides(r[1], gamma) for r in rivals):
-                kept.append((i, gamma, coprime))
-        # Criterion B_k: LT(h) divides lcm(a, b) and differs from both other lcms.
-        heap = [
-            entry
-            for entry in heap
-            if not divides(t, entry[3])
-            or lcm(lts[entry[1]], t) == entry[3]
-            or lcm(lts[entry[2]], t) == entry[3]
-        ]
-        heap.extend((ring.degree(gamma), i, k, gamma) for i, gamma, coprime in kept if not coprime)
+        # Criterion M: a candidate (g, h) goes when the lcm of a later
+        # candidate or of one already kept divides its own (no guard bit
+        # set in the difference).  Coprime candidates, whose lcm is the
+        # product, stay as rivals, and criterion F drops them from the queue.
+        gammas = [lcm(lts[i], t) for i in live]
+        kept: list[int] = []
+        pairs = []
+        for pos, (i, gamma) in enumerate(zip(live, gammas)):
+            if gamma == lts[i] + t:
+                kept.append(gamma)
+            elif all(map(guard.__and__, map(gamma.__sub__, gammas[pos + 1 :] + kept))):
+                kept.append(gamma)
+                pairs.append((ring.degree(gamma), i, k, gamma))
+        # Criterion B_k: LT(h) divides lcm(a, b) and differs from both other
+        # lcms.  lcm(LT(a), LT(h)) is lcm(a, b) exactly when the variable
+        # fields of the fieldwise maximum agree; both divide lcm(a, b), so
+        # the maximum fits its fields.
+        queued = []
+        for entry in heap:
+            gamma = entry[3]
+            if (gamma - t) & guard:
+                queued.append(entry)
+                continue
+            for a in (lts[entry[1]], lts[entry[2]]):
+                pick = (((a - t) & guard) >> top) * field
+                if not (((a & ~pick) | (t & pick)) ^ gamma) & var_mask:
+                    queued.append(entry)
+                    break
+        heap = queued + pairs
         heapq.heapify(heap)
-        live = [i for i in live if not divides(t, lts[i])] + [k]
+        live = [i for i in live if (lts[i] - t) & guard] + [k]
 
     for g in dict.fromkeys(g.monic() for g in gens if not g.is_zero()):
         update(g)
 
     processed = 0
     while heap:
-        _, i, j, _ = heapq.heappop(heap)
+        _, i, j, gamma = heapq.heappop(heap)
         processed += 1
         if processed > max_pairs:
             raise ResourceCap(f"pair budget {max_pairs} exhausted")
-        remainder = _reduce(s_polynomial(basis[i], basis[j]), reducers, budget)
+        work = _s_pair(ring, reducers[i], reducers[j], gamma)
+        remainder = _reduce(ring, work, reducers, budget)
         if not remainder.is_zero():
             update(remainder.monic())
 

@@ -277,7 +277,8 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
         layer = invariant_basis(ring, G, d)
         if layer:
             gens.extend(layer)
-            basis = buchberger(ring, gens)
+            # The reduced basis of the degrees below generates what gens did.
+            basis = buchberger(ring, (basis.basis if basis is not None else ()) + tuple(layer))
         if basis is not None and all(
             any(ring.divides(g.leading_monomial(), m) for g in basis.basis)
             for m in map(ring.pack, monomials_of_degree(ring.n, d))

@@ -88,6 +88,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self) -> int:
+        """The value of the integer token under the cursor, consumed."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:
+            # Python's integer string-conversion limit (4300 digits by default).
+            raise ParseError(f"integer of {len(tok.text)} digits is too long", tok.line, tok.col) from None
+
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -124,8 +133,7 @@ class _Parser:
         if self.peek().kind != "^":
             return base
         caret = self.advance()
-        tok = self.expect("int")
-        exponent = int(tok.text)
+        exponent = self.integer()
         limit = MAX_MONOMIAL_EXPONENT if is_atom_simple else MAX_EXPRESSION_EXPONENT
         if exponent > limit:
             raise ParseError(f"exponent {exponent} exceeds limit {limit}", caret.line, caret.col)
@@ -135,8 +143,7 @@ class _Parser:
         """Returns (polynomial, single-term flag for the exponent ceiling)."""
         tok = self.peek()
         if tok.kind == "int":
-            self.advance()
-            return self.ring.constant(int(tok.text)), True
+            return self.ring.constant(self.integer()), True
         if tok.kind == "name":
             self.advance()
             index = self.var_index.get(tok.text)

@@ -119,4 +119,6 @@ def load_problem(path: str) -> ProblemFile:
         raise ParseError(f"problem file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"JSON in {path} is nested too deeply") from None
     return problem_from_dict(data)

@@ -453,3 +453,27 @@ def test_crash_inputs_exit_with_a_named_error(capsys, monkeypatch, tmp_path, env
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+
+def run_failing(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
+
+
+def test_integer_past_the_string_conversion_limit_exits_3(capsys, tmp_path):
+    problem = tmp_path / "long.json"
+    problem.write_text(json.dumps({"p": 5, "vars": ["x"], "ideals": {"I": ["1" * 5000 + "*x"]}}))
+    assert run_failing(capsys, "gb", "--in", str(problem), "--ideal", "I") == (
+        3,
+        "",
+        ["error: integer of 5000 digits is too long (line 1, column 1)"],
+    )
+
+
+def test_json_nested_past_the_recursion_limit_exits_3(capsys, tmp_path):
+    problem = tmp_path / "deep.json"
+    problem.write_text("[" * 100_000)
+    code, out, err = run_failing(capsys, "dim", "--in", str(problem), "--ideal", "I")
+    assert (code, out, err) == (3, "", [f"error: JSON in {problem} is nested too deeply"])

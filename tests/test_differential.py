@@ -493,8 +493,8 @@ def test_buchberger_matches_all_pairs_reference(R, data):
             queued.append(entry[1:3])
         heappush(heap, entry)
 
-    def reduce_spy(f, reducers, budget=None):
-        remainder = _reduce(f, reducers, budget)
+    def reduce_spy(ring, work, reducers, budget=None):
+        remainder = _reduce(ring, work, reducers, budget)
         if budget is not None and not remainder.is_zero():
             lts.append(remainder.leading_exponents())
         return remainder
@@ -506,6 +506,158 @@ def test_buchberger_matches_all_pairs_reference(R, data):
         G = buchberger(R, gens, max_terms=200_000)
     assert G.basis == expected
     assert all(i < j and any(map(min, lts[i], lts[j])) for i, j in set(queued))
+
+
+def reference_gm_buchberger(ring, gens, max_terms):
+    """The Gebauer-Moeller loop as it was before S-pairs were reduced in
+    place: ``_reduce(s_polynomial(f, g))`` and ``ring.lcm`` in every test of
+    the update.  Returns the (i, j) pops, the terms charged and the basis,
+    or the ResourceCap message in place of the basis."""
+    budget = _Budget(max_terms)
+    divides, lcm = ring.divides, ring.lcm
+    basis, lts, live, heap, pops = [], [], [], [], []
+
+    def update(h):
+        nonlocal heap, live
+        k = len(basis)
+        t = h.leading_monomial()
+        basis.append(h)
+        lts.append(t)
+        candidates = []
+        for i in live:
+            gamma = lcm(lts[i], t)
+            candidates.append((i, gamma, gamma == lts[i] + t))
+        kept = []
+        for pos, (i, gamma, coprime) in enumerate(candidates):
+            rivals = candidates[pos + 1 :] + kept
+            if coprime or not any(divides(r[1], gamma) for r in rivals):
+                kept.append((i, gamma, coprime))
+        heap = [
+            entry
+            for entry in heap
+            if not divides(t, entry[3])
+            or lcm(lts[entry[1]], t) == entry[3]
+            or lcm(lts[entry[2]], t) == entry[3]
+        ]
+        heap.extend((ring.degree(gamma), i, k, gamma) for i, gamma, coprime in kept if not coprime)
+        heapq.heapify(heap)
+        live = [i for i in live if not divides(t, lts[i])] + [k]
+
+    try:
+        for g in dict.fromkeys(g.monic() for g in gens if not g.is_zero()):
+            update(g)
+        while heap:
+            _, i, j, _ = heapq.heappop(heap)
+            pops.append((i, j))
+            remainder = normal_form(s_polynomial(basis[i], basis[j]), basis, budget)
+            if not remainder.is_zero():
+                update(remainder.monic())
+    except ResourceCap as exc:
+        return pops, budget.used, str(exc)
+    return pops, budget.used, _interreduce(ring, [basis[i] for i in live])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings(max_vars=3), st.data())
+def test_buchberger_pops_the_pairs_of_the_lcm_update(R, data):
+    gens = data.draw(st.lists(polys(R, max_terms=4, max_exp=3), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        powers = data.draw(st.lists(st.integers(1, 4), min_size=R.n, max_size=R.n))
+        gens = gens + [R.variable(i) ** k for i, k in enumerate(powers)]
+    max_terms = data.draw(st.sampled_from((20_000, 40, 200)))
+    expected = reference_gm_buchberger(R, gens, max_terms)
+    pops, budgets = [], []
+    heappop = heapq.heappop
+
+    # Pair queue entries are tuples; reduction heaps hold ints.
+    def heappop_spy(heap):
+        entry = heappop(heap)
+        if isinstance(entry, tuple):
+            pops.append(entry[1:3])
+        return entry
+
+    class BudgetSpy(_Budget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heapq, "heappop", heappop_spy)
+        mp.setattr(groebner, "_Budget", BudgetSpy)
+        try:
+            result = buchberger(R, gens, max_terms=max_terms).basis
+        except ResourceCap as exc:
+            result = str(exc)
+    assert (pops, budgets[0].used, result) == expected
+
+
+def _outcome(reduce, budget):
+    """A reduction's remainder, or its ResourceCap message, and the terms
+    charged before it returned."""
+    try:
+        return reduce(), budget.used
+    except ResourceCap as exc:
+        return str(exc), budget.used
+
+
+def _s_pair_outcomes(R, f, g, others, limit):
+    """The S-pair of f and g reduced in place and reduced as a polynomial."""
+    reducers = [groebner._reducer(h) for h in [f, g] + others]
+    in_place, reference = _Budget(limit), _Budget(limit)
+
+    def reduce_in_place():
+        gamma = R.lcm(f.leading_monomial(), g.leading_monomial())
+        work = groebner._s_pair(R, reducers[0], reducers[1], gamma)
+        return _reduce(R, work, reducers, in_place)
+
+    def reduce_polynomial():
+        return _reduce(R, dict(s_polynomial(f, g).terms), reducers, reference)
+
+    return _outcome(reduce_in_place, in_place), _outcome(reduce_polynomial, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings(), st.data())
+def test_s_pair_reduced_in_place_matches_its_reduced_s_polynomial(R, data):
+    nonzero = polys(R, max_terms=5, max_exp=4).filter(lambda h: not h.is_zero())
+    f, g = data.draw(nonzero).monic(), data.draw(nonzero).monic()
+    limit = data.draw(st.none() | st.integers(0, 40))
+    if data.draw(st.booleans()):
+        # A term at the top of its field, so the lcm or a shifted tail may
+        # not fit and both reductions must raise ResourceCap; a finite term
+        # budget ends a reduction that would walk the field down.
+        i = data.draw(st.integers(0, R.n - 1))
+        top = tuple(R.max_degree - data.draw(st.integers(0, 2)) if j == i else 0 for j in range(R.n))
+        if data.draw(st.booleans()):
+            f, g = g, f
+        f = f + R.monomial(top)
+        assume(not f.is_zero())
+        f = f.monic()
+        limit = 40 if limit is None else limit
+    drawn = data.draw(st.lists(polys(R, max_terms=4, max_exp=3), max_size=3))
+    others = [h.monic() for h in drawn if not h.is_zero()]
+    in_place, reference = _s_pair_outcomes(R, f, g, others, limit)
+    assert in_place == reference
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim(1)"])
+def test_s_pair_reduced_in_place_raises_where_its_s_polynomial_does(order):
+    R = PolyRing(5, ("x", "y"), MonomialOrder.parse(order))
+    x, y = R.variable(0), R.variable(1)
+    # Under lex and elim(1), x > y^D and the shift y of the tail y^D leaves
+    # the field; under grevlex y^D leads and lcm(y^D, xy) does not fit.
+    f, g = x + R.monomial((0, R.max_degree)), x * y + 1
+    for first, second in ((f, g), (g, f)):
+        in_place, reference = _s_pair_outcomes(R, first, second, [], None)
+        assert in_place == reference
+        assert in_place[0].startswith("exponent too wide")
+    # A term budget that runs out part way through the reduction.
+    f, g = x**2 + y + 1, x * y + x + y
+    in_place, reference = _s_pair_outcomes(R, f, g, [x + y**2, y**3 - 1], 4)
+    assert in_place == reference
+    assert in_place[0] == "term budget 4 exhausted"
 
 
 @st.composite
