@@ -11,6 +11,9 @@ bound D, with truncated rows and the leading monomial as pivot; the grown
 frame must give the same colengths, memberships and certified values.
 ``reference_buchberger`` queues every pair and skips a coprime one when it is
 popped; ``buchberger`` must return the identical reduced basis.
+``reference_gm_buchberger`` is the Gebauer-Moeller loop that built each
+S-polynomial and called ``lcm`` in every test of its update; ``buchberger``
+must pop the same pairs and charge the same terms.
 ``naive_reynolds`` sums the ``substitute_linear`` images of the orbit, and
 ``reference_invariant_basis`` runs the pivot loop on orbit sums grown one
 variable at a time; the Kronecker kernel behind ``reynolds`` and
