@@ -112,31 +112,34 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Lift of I cap lift of J, an ideal of S: eliminate t from
-        t*I + (1-t)*J in S[t].  The t-free part of the elim(1) basis already
-        generates it, and over a grevlex ring it is the reduced basis."""
+        t*I + (1-t)*J in S[t] under elim(1).  The t-free part of that basis
+        generates the intersection and, for every order of the ring, is its
+        reduced basis under grevlex, converted to the ring's order.
+
+        The generators enter in grevlex, whose packed monomials are the
+        t-free ones of S[t]: t*g shifts each term by the packed t, and
+        (1-t)*g is the terms of t*(-g) followed by those of g, already in
+        order."""
         self.ring.check_same(other.ring)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
         ring = self.ring
-        aux = "t"
-        while aux in ring.names:
-            aux += "_"
-        ext = PolyRing(ring.field, (aux,) + ring.names, MonomialOrder.elim(1))
-
-        def embed(f: Polynomial) -> Polynomial:
-            return ext.from_terms(((0,) + e, c) for e, c in f.exponent_terms())
-
-        t = ext.variable(0)
-        one_minus_t = ext.one() - t
-        gens = [t * embed(g) for g in self.lift_gens]
-        gens += [one_minus_t * embed(g) for g in other.lift_gens]
+        grevlex = ring.with_order(MonomialOrder.grevlex())
+        ext = ring.elimination_ring()
+        t = ext.variable(0).leading_monomial()
+        p = ring.p
+        gens = []
+        for g in self.lift_gens:
+            terms = grevlex.convert(g).terms
+            gens.append(Polynomial(ext, tuple([(m + t, c) for m, c in terms])))
+        for g in other.lift_gens:
+            terms = grevlex.convert(g).terms
+            gens.append(Polynomial(ext, tuple([(m + t, p - c) for m, c in terms]) + terms))
         G = buchberger(ext, gens)
-        kept = []
-        for g in G.basis:
-            terms = g.exponent_terms()
-            if all(e[0] == 0 for e, _ in terms):
-                kept.append(ring.from_terms((e[1:], c) for e, c in terms))
-        return Ideal(ring, kept)
+        # Under elim(1) the leading term has the largest t-degree, and the
+        # t-free monomials are exactly those below the packed t.
+        kept = [g.terms for g in G.basis if g.leading_monomial() < t]
+        return Ideal(ring, [ring.convert(Polynomial(grevlex, terms)) for terms in kept])
 
     def colon(self, other: "Ideal") -> "Ideal":
         """(I : J) as the intersection over generators g of (I cap (g))/g.

@@ -7,13 +7,28 @@ the rows whose pivot has degree >= D, so dim_k S/(I + m^D) is C(n+D-1, n)
 minus the pivots of degree < D.  Raising D to D+1 adds the products of
 lowest degree D, whose reduction touches only degrees >= D, so one frame
 serves every bound (Mora's local degree order).
+
+Columns
+-------
+A column is one int, packed by the frame itself: from the top field down,
+the total degree, then e_1, ..., e_n.  Int order is then the order of the
+tuples (deg,) + e, so the lowest column is the least int, a row shift by a
+multiplier is one ``+`` and a column's degree is one shift.  No field can
+carry: the bound D never passes MAX_COLUMNS, since the C(n+D-1, n) columns
+below it number at least D, so every row term has degree below the
+generators' largest degree plus MAX_COLUMNS, and the field width is fixed
+from that sum when the frame is made.  A probe's terms of degree >= D never
+decide membership and are left out, so a probe cannot overflow a field.
+
+The packing is read from ``exponent_terms()``, not taken from
+``PolyRing``'s packed monomials: the oracle checks the engine, so a packing
+fault in ``poly`` must not be able to hide in both.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import comb
-from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionViolated, ResourceCap
@@ -21,11 +36,6 @@ from .poly import Polynomial, PolyRing, monomials_of_degree
 
 MAX_COLUMNS = 20000
 DEFAULT_D_MAX = 64
-
-
-def _lift(f: Polynomial) -> dict:
-    """Terms keyed by (degree,) + exponents, so tuple order is column order."""
-    return {(sum(e),) + e: c for e, c in f.exponent_terms()}
 
 
 class MacaulayFrame:
@@ -37,11 +47,27 @@ class MacaulayFrame:
         for g in gens:
             ring.check_same(g.ring)
         self.ring = ring
-        self.gens = [_lift(g) for g in gens if not g.is_zero()]
-        self.pivots: dict[tuple, tuple] = {}  # pivot -> other terms, pivot coefficient 1
+        self.p = ring.p
+        lifted = [g.exponent_terms() for g in gens if not g.is_zero()]
+        top = max((sum(e) for terms in lifted for e, _ in terms), default=0)
+        self._bits = (top + MAX_COLUMNS).bit_length()
+        self._degree_shift = ring.n * self._bits
+        self.gens = [{self._column(e, sum(e)): c for e, c in terms} for terms in lifted]
+        self.pivots: dict[int, tuple] = {}  # pivot -> other terms, pivot coefficient 1
+        self._pivots_of_degree: dict[int, int] = {}
         self.bound = 0
         for _ in range(bound):
             self.grow()
+
+    def _column(self, e: Sequence[int], degree: int) -> int:
+        column = degree
+        for x in e:
+            column = (column << self._bits) | x
+        return column
+
+    def degree(self, column: int) -> int:
+        """Total degree of a column: its top field."""
+        return column >> self._degree_shift
 
     def grow(self) -> None:
         """Raise the bound D by one: add the products with lowest degree D."""
@@ -49,15 +75,20 @@ class MacaulayFrame:
         columns = comb(n + d, n)  # monomials of degree < D+1
         if columns > MAX_COLUMNS:
             raise ResourceCap(f"{columns} truncation columns exceed {MAX_COLUMNS}")
+        multipliers: dict[int, list[int]] = {}
         for terms in self.gens:
-            k = d - min(terms)[0]  # degree of the multipliers
-            for m in monomials_of_degree(n, k) if k >= 0 else ():
-                self.add_row({tuple(map(add, e, (k,) + m)): c for e, c in terms.items()})
+            k = d - self.degree(min(terms))  # degree of the multipliers
+            if k < 0:
+                continue
+            if k not in multipliers:
+                multipliers[k] = [self._column(m, k) for m in monomials_of_degree(n, k)]
+            for m in multipliers[k]:
+                self.add_row({e + m: c for e, c in terms.items()})
         self.bound = d + 1
 
-    def _reduce(self, work: dict) -> Optional[tuple]:
+    def _reduce(self, work: dict) -> Optional[int]:
         """Cancel lowest terms by pivot rows; return the first without one."""
-        p = self.ring.p
+        p = self.p
         heap = sorted(work)  # a sorted list is a heap
         while heap:
             e = heappop(heap)
@@ -75,26 +106,44 @@ class MacaulayFrame:
         return None
 
     def add_row(self, row: dict) -> bool:
-        """Reduce a lifted row into the frame; True if the rank grew."""
+        """Reduce a row of packed columns into the frame; True if the rank grew."""
         e = self._reduce(row)
         if e is not None:
             inv = self.ring.field.inv(row.pop(e))
-            self.pivots[e] = tuple((t, c * inv % self.ring.p) for t, c in row.items() if c)
+            self.pivots[e] = tuple((t, c * inv % self.p) for t, c in row.items() if c)
+            d = self.degree(e)
+            self._pivots_of_degree[d] = self._pivots_of_degree.get(d, 0) + 1
         return e is not None
 
     @property
     def rank(self) -> int:
         """Rank of the frame truncated below the bound."""
-        return sum(1 for e in self.pivots if e[0] < self.bound)
+        return sum(k for d, k in self._pivots_of_degree.items() if d < self.bound)
 
     @property
     def colength(self) -> int:
         return comb(self.ring.n + self.bound - 1, self.ring.n) - self.rank
 
+    def _member(self, work: dict) -> bool:
+        """No term below D survives the reduction of a row of columns."""
+        e = self._reduce(work)
+        return e is None or self.degree(e) >= self.bound
+
     def contains(self, f: Polynomial) -> bool:
-        """Membership of f in I + m^D: no term below D survives reduction."""
-        e = self._reduce(_lift(f))
-        return e is None or e[0] >= self.bound
+        """Membership of f in I + m^D."""
+        self.ring.check_same(f.ring)
+        work = {}
+        for e, c in f.exponent_terms():
+            degree = sum(e)
+            if degree < self.bound:
+                work[self._column(e, degree)] = c
+        return self._member(work)
+
+    def contains_pure_powers(self) -> bool:
+        """Every x_i^(D-1) lies in I + m^D."""
+        k, n = self.bound - 1, self.ring.n
+        powers = (self._column([k if j == i else 0 for j in range(n)], k) for i in range(n))
+        return all(self._member({column: 1}) for column in powers)
 
 
 def colength_bruteforce(
@@ -113,15 +162,5 @@ def colength_bruteforce(
         if value == prev and prev_pure:
             return value
         prev = value
-        pure = (ring.variable(i) ** (frame.bound - 1) for i in range(ring.n))
-        prev_pure = all(map(frame.contains, pure))
+        prev_pure = frame.contains_pure_powers()
     return None
-
-
-def membership_bruteforce(
-    f: Polynomial, ring: PolyRing, gens: Sequence[Polynomial], bound: int
-) -> bool:
-    """True iff f lies in I + m^bound; callers pick a stabilized bound."""
-    if f.total_degree() >= bound:
-        raise PreconditionViolated("membership bound must exceed deg f")
-    return MacaulayFrame(ring, gens, bound).contains(f)

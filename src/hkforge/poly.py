@@ -46,8 +46,11 @@ an lcm or a Frobenius power.
 Tuples remain only at the boundaries: ``pack``/``from_terms``/``monomial``
 take them, ``unpack``/``exponent_terms``/``leading_exponents`` and printing
 give them back, ``MonomialOrder.key`` defines the orders on them, and the
-oracle and the staircase count (``groebner``'s sweep over the last variable)
-work on them.
+staircase count (``groebner``'s sweep over the last variable) works on them.
+The oracle reads ``exponent_terms`` and packs its columns itself, so that it
+shares no packing with the engine it checks.  ``Ideal.intersect`` reuses
+packed monomials as they are: ``elimination_ring`` lays S[t] out so that its
+t-free monomials are grevlex S's.
 
 Arithmetic that combines many terms collects them in one
 ``dict[monomial -> coefficient]`` and sorts once, in ``PolyRing._from_dict``,
@@ -190,7 +193,7 @@ class PolyRing:
     __slots__ = (
         "field", "names", "order", "n",
         "width", "max_degree", "guard", "heap_flip",
-        "_key_flip", "_shifts", "_field_shifts", "_units", "_blocks",
+        "_key_flip", "_shifts", "_field_shifts", "_units", "_blocks", "_elimination",
     )
 
     def __init__(self, p: int | PrimeField, names: Sequence[str], order: MonomialOrder | None = None):
@@ -206,6 +209,7 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder.grevlex()
         self.n = len(names)
         self._lay_out()
+        self._elimination = None
 
     def _lay_out(self):
         """Place the fields of the order's blocks and build the masks."""
@@ -272,6 +276,24 @@ class PolyRing:
     def check_same(self, other: "PolyRing"):
         if self != other:
             raise RingMismatch(f"{self!r} vs {other!r}")
+
+    def elimination_ring(self) -> "PolyRing":
+        """S[t] under elim(1), t a fresh first variable; built once per ring.
+
+        Its t-free monomials pack exactly as grevlex S packs them: the same
+        width, with the x-block fields first.  A grevlex term list of S is
+        therefore one of S[t] as it stands, t*m is m plus the packed t, and
+        a t-free term list of S[t] is one of grevlex S.
+        """
+        if self._elimination is None:
+            aux = "t"
+            while aux in self.names:
+                aux += "_"
+            ext = PolyRing(self.field, (aux,) + self.names, MonomialOrder.elim(1))
+            grevlex = self.with_order(MonomialOrder.grevlex())
+            assert ext.width == grevlex.width and ext._units[1:] == grevlex._units
+            self._elimination = ext
+        return self._elimination
 
     # -- packed monomials -----------------------------------------------------
 

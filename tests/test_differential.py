@@ -11,6 +11,9 @@ bound D, with truncated rows and the leading monomial as pivot; the grown
 frame must give the same colengths, memberships and certified values.
 ``reference_buchberger`` queues every pair and skips a coprime one when it is
 popped; ``buchberger`` must return the identical reduced basis.
+``reference_intersect`` is the intersection that embedded exponent tuples
+into an S[t] built per call and multiplied by t and 1 - t; ``intersect``
+must return identical generators in the same order.
 ``reference_gm_buchberger`` is the Gebauer-Moeller loop that built each
 S-polynomial and called ``lcm`` in every test of its update; ``buchberger``
 must pop the same pairs and charge the same terms.
@@ -43,6 +46,7 @@ from hkforge.groebner import (
     normal_form,
     s_polynomial,
 )
+from hkforge.ideals import Ideal
 from hkforge.invariants import group_closure, invariant_basis, reynolds
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
@@ -470,6 +474,58 @@ def test_grown_frame_matches_dense_reference(R, data):
         assert [frame.contains(f) for f in probes] == [contains(f) for f in probes]
 
 
+def reference_intersect(I, J):
+    ring = I.ring
+    if I.is_zero() or J.is_zero():
+        return Ideal(ring, ())
+    aux = "t"
+    while aux in ring.names:
+        aux += "_"
+    ext = PolyRing(ring.field, (aux,) + ring.names, MonomialOrder.elim(1))
+
+    def embed(f):
+        return ext.from_terms(((0,) + e, c) for e, c in f.exponent_terms())
+
+    t = ext.variable(0)
+    gens = [t * embed(g) for g in I.lift_gens]
+    gens += [(ext.one() - t) * embed(g) for g in J.lift_gens]
+    kept = []
+    for g in buchberger(ext, gens).basis:
+        terms = g.exponent_terms()
+        if all(e[0] == 0 for e, _ in terms):
+            kept.append(ring.from_terms((e[1:], c) for e, c in terms))
+    return Ideal(ring, kept)
+
+
+def _intersect_outcome(intersect, I, J):
+    try:
+        return [(g.ring, g.terms) for g in intersect(I, J).gens]
+    except ResourceCap as cap:
+        return str(cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings(max_vars=3), st.data())
+def test_intersect_matches_tuple_embedding_reference(R, data):
+    I, J = (
+        Ideal(R, data.draw(st.lists(polys(R, max_terms=3, max_exp=3), max_size=3)))
+        for _ in range(2)
+    )
+    outcome = _intersect_outcome(Ideal.intersect, I, J)
+    assert outcome == _intersect_outcome(reference_intersect, I, J)
+
+
+def test_intersect_names_its_auxiliary_variable_past_the_ring_names():
+    R = PolyRing(5, ("t", "t_", "x"))
+    t, t_, x = (R.variable(i) for i in range(3))
+    assert R.elimination_ring().names == ("t__", "t", "t_", "x")
+    assert R.elimination_ring() is R.elimination_ring()
+    I, J = Ideal.of(t**2, t_ * x), Ideal.of(t * t_ + x**2, t_**3)
+    meet = I.intersect(J)
+    assert [g.terms for g in meet.gens] == [g.terms for g in reference_intersect(I, J).gens]
+    assert all(I.contains(g) and J.contains(g) for g in meet.gens)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rings(max_vars=3), st.data())
 def test_buchberger_matches_all_pairs_reference(R, data):
@@ -729,6 +785,18 @@ def test_packed_keys_sort_like_the_orders(R, data):
     ascending = [R.pack(e) for e in sorted(exps, key=R.order.key)]
     assert sorted(packed, key=R.key) == ascending
     assert sorted(packed, key=R.heap_key) == ascending[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rings(), st.data())
+def test_elimination_ring_packs_t_free_monomials_as_grevlex(R, data):
+    assume(R.n < MAX_VARS)
+    ext = R.elimination_ring()
+    grevlex = R.with_order(MonomialOrder.grevlex())
+    exps = data.draw(st.lists(exponents(R, R.max_degree), min_size=1, max_size=6, unique=True))
+    packed = [grevlex.pack(e) for e in exps]
+    assert [ext.pack((0,) + e) for e in exps] == packed
+    assert sorted(packed, key=ext.key) == sorted(packed, key=grevlex.key)
 
 
 @settings(max_examples=200, deadline=None)

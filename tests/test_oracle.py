@@ -1,3 +1,4 @@
+import ast
 import random
 import subprocess
 import sys
@@ -6,12 +7,9 @@ from pathlib import Path
 import pytest
 
 import hkforge
-from hkforge.errors import PreconditionViolated, ResourceCap
-from hkforge.oracle import (
-    MacaulayFrame,
-    colength_bruteforce,
-    membership_bruteforce,
-)
+from hkforge import oracle
+from hkforge.errors import ResourceCap, RingMismatch
+from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import PolyRing
 
 
@@ -45,11 +43,16 @@ def test_non_primary_ideal_never_stabilizes():
 def test_membership_examples():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
-    assert membership_bruteforce(x**2, R, [x + y, x * y], 5)
-    assert not membership_bruteforce(y, R, [x], 5)
-    assert membership_bruteforce(R.zero(), R, [x], 3)
-    with pytest.raises(PreconditionViolated):
-        membership_bruteforce(x**4, R, [x], 3)
+    assert MacaulayFrame(R, [x + y, x * y], 5).contains(x**2)
+    assert not MacaulayFrame(R, [x], 5).contains(y)
+    assert MacaulayFrame(R, [x], 3).contains(R.zero())
+
+
+def test_membership_of_a_polynomial_of_another_ring_is_refused():
+    # Columns are packed per ring, so a foreign polynomial would be misread.
+    R, other = ring2(), PolyRing(5, ("a", "b", "c"))
+    with pytest.raises(RingMismatch):
+        MacaulayFrame(R, [R.variable(0)], 3).contains(other.variable(1))
 
 
 def test_membership_respects_truncation_semantics():
@@ -112,10 +115,42 @@ def test_grown_frame_equals_fresh_frame():
                 grown.grow()
             fresh = MacaulayFrame(R, gens, start + k)
             assert grown.bound == fresh.bound == start + k
-            below = lambda frame: {e for e in frame.pivots if e[0] < frame.bound}
+            below = lambda frame: {e for e in frame.pivots if frame.degree(e) < frame.bound}
             assert below(grown) == below(fresh)
             assert grown.colength == fresh.colength
             assert [grown.contains(f) for f in probes] == [fresh.contains(f) for f in probes]
+
+
+def test_rows_past_the_engines_field_are_columns_of_the_frame():
+    # p = 2 has the narrowest packed fields; x^top * x^k passes their top.
+    R = PolyRing(2, ("x", "y"))
+    x, y = R.variable(0), R.variable(1)
+    wide = R.monomial((R.max_degree, 0)) + y
+    probes = [x**2, x**3, y, x * y + x**2, wide, x**2 + wide]
+    for bound in (1, 3, 5):
+        frame, plain = MacaulayFrame(R, [wide, x**3], bound), MacaulayFrame(R, [y, x**3], bound)
+        assert frame.colength == plain.colength
+        assert [frame.contains(f) for f in probes] == [plain.contains(f) for f in probes]
+    assert colength_bruteforce(R, [wide, x**3]) == colength_bruteforce(R, [y, x**3]) == 3
+
+
+def test_oracle_stays_independent_of_the_engine():
+    # The oracle cross-checks the engine, so it may share neither the
+    # engine's algorithms nor its packed monomials.
+    engine = {"groebner", "ideals", "linkage", "invariants"}
+    packed = {
+        "terms", "pack", "unpack", "guard", "heap_key", "heap_flip", "width",
+        "span", "leading_monomial", "multiply_monomial", "divides", "lcm",
+    }
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported = {(node.module or "").split(".")[-1]} | {a.name for a in node.names}
+            assert not imported & engine, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not {a.name.split(".")[-1] for a in node.names} & engine, ast.unparse(node)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in packed, ast.unparse(node)
 
 
 def test_growing_past_the_column_cap_trips():
