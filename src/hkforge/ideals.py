@@ -149,10 +149,15 @@ class Ideal:
         are divided by g as they are, with no basis of their own.  A
         generator g in I has (I : (g)) = (1), the identity for the
         intersection, so it is skipped; when every g is in I the colon is (1).
+        A J with a nonzero constant among its generators is (1), and
+        (I : (1)) = I, so then I itself comes back, basis cache and all, with
+        no membership test and no elimination.
         """
         self.ring.check_same(other.ring)
         if other.is_zero():
             raise PreconditionViolated("colon by the zero ideal")
+        if any(g.is_constant() for g in other.lift_gens):
+            return self
         result: Optional[Ideal] = None
         for g in other.lift_gens:
             if self.contains(g):

@@ -10,6 +10,18 @@ is nonnegative, vanishes for all q exactly when I has finite projective
 dimension over a CI presentation, and ties the four lengths together through
 an identity that is asserted, not assumed: a violation raises an internal
 error because it would be an engine bug.
+
+`link` keeps J irredundant over R: it drops each generator that lies in the
+ideal of the others plus C, such as x^2 = -y^2 - z^2 on the sphere
+x^2 + y^2 + z^2 = 0.  That is exact.  If g = sum r_i h_i + c with c in C,
+then g^q = sum r_i^q h_i^q + c^q and c^q lies in C, so J^[q] + C, and with
+it every corner, every length and every reduced basis printed, is the same
+ideal as for the J the colon returned; a colon by J^[q] just runs one
+elimination fewer per dropped generator outside a^[q].  A J on at most
+dim R generators is kept untested: dropping one would leave fewer than
+n = dim S elements, C's included, to generate J + C, and by Krull's height
+theorem those generate no ideal of height n.  J + C is m-primary, or is (1)
+on the single generator 1, which C alone does not give.
 """
 
 from __future__ import annotations
@@ -56,7 +68,8 @@ def _presentation(ideal: Ideal, name: str) -> QuotientPresentation:
 
 
 def link(I: Ideal, a: Ideal) -> LinkageDatum:
-    """J = (a : I), with every linkage precondition and (a : J) = I checked."""
+    """J = (a : I), irredundant over R (see the module docstring), with
+    every linkage precondition and (a : J) = I checked."""
     P = _presentation(I, "I")
     Q = _presentation(a, "a")
     if Q.ring != P.ring or Q.ci_gens != P.ci_gens:
@@ -69,7 +82,7 @@ def link(I: Ideal, a: Ideal) -> LinkageDatum:
         raise PreconditionViolated("a is not contained in I")
     if not I.is_m_primary():
         raise PreconditionViolated("I is not m-primary")
-    J = a.colon(I)
+    J = _irredundant(a.colon(I), P.dim)
     degenerate = J.is_unit()
     back = a.colon(J)
     if not back.equals(I):
@@ -81,6 +94,27 @@ def link(I: Ideal, a: Ideal) -> LinkageDatum:
         J=J,
         degenerate=degenerate,
     )
+
+
+def _irredundant(J: Ideal, dim: int) -> Ideal:
+    """J less each generator, in the order they come (largest leading term
+    first), that lies in the ideal of the generators still kept plus C.
+
+    A generator that is dropped leaves J as the ideal its membership test
+    just built, basis included, so no Groebner input runs twice.  The tests
+    stop once at most dim R generators are left (the Krull skip of the
+    module docstring).
+    """
+    gens = list(J.gens)
+    i = 0
+    while len(gens) > dim and i < len(gens):
+        rest = gens[:i] + gens[i + 1 :]
+        smaller = Ideal(J.ring, rest, J.presentation)
+        if smaller.contains(gens[i]):
+            gens, J = rest, smaller
+        else:
+            i += 1
+    return J
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 import hkforge.cli as cli
 import hkforge.linkage as linkage
 from hkforge.errors import IdentityViolation
+from hkforge.ideals import Ideal
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -60,6 +61,24 @@ def test_colon(capsys):
         capsys, "colon", "--in", path("ops.json"), "--ideal", "A", "--by", "B"
     )
     assert payload == {"generators": ["x^2", "x*y", "y^2"]}
+
+
+def test_colon_by_a_unit_divisor_runs_no_elimination(capsys, monkeypatch, tmp_path):
+    problem = tmp_path / "unit.json"
+    problem.write_text(
+        json.dumps(
+            {"p": 5, "vars": ["x", "y"], "ideals": {"A": ["x^2 + y", "y^3"], "B": ["x", "3"]}}
+        )
+    )
+    meets = []
+    intersect = Ideal.intersect
+    monkeypatch.setattr(
+        Ideal, "intersect", lambda self, other: meets.append(other) or intersect(self, other)
+    )
+    payload = run_json(capsys, "colon", "--in", str(problem), "--ideal", "A", "--by", "B")
+    basis = run_json(capsys, "gb", "--in", str(problem), "--ideal", "A")["basis"]
+    assert payload == {"generators": basis} == {"generators": ["y^3", "x^2 + y"]}
+    assert meets == []
 
 
 def test_intersect(capsys):

@@ -44,7 +44,9 @@ def test_colon_examples():
     )
     assert Ideal.of(x**2, x * y).colon(Ideal.of(x)).equals(Ideal.of(x, y))
     I = Ideal.of(x**3, y)
-    assert I.colon(Ideal.of(R.one())).equals(I)
+    # a divisor holding a nonzero constant is (1): the dividend comes back
+    assert I.colon(Ideal.of(R.one())) is I
+    assert I.colon(Ideal.of(x, R.constant(3))) is I
     with pytest.raises(PreconditionViolated):
         I.colon(Ideal(R, []))
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hkforge import cli, ideals
-from hkforge.errors import IdentityViolation, PreconditionViolated
+from hkforge.errors import DoubleLinkFailed, IdentityViolation, PreconditionViolated
 from hkforge.ideals import Ideal, QuotientPresentation
 from hkforge.linkage import (
     FINITE,
     INFINITE_PD,
+    LinkageDatum,
     corner_power,
     gorenstein_parity_check,
     hk_table,
@@ -19,6 +20,9 @@ from hkforge.linkage import (
     reciprocity_report,
 )
 from hkforge.poly import PolyRing
+from hkforge.problem import load_problem
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
 def free2(p=5):
@@ -70,18 +74,27 @@ def test_link_runs_buchberger_on_the_lift_of_a_once(monkeypatch, fixture):
     assert runs.count(a.gens + P.ci_gens) == 1
 
 
-def test_degenerate_link():
+def test_degenerate_link(monkeypatch):
     R, P = free2()
     x, y = R.variable(0), R.variable(1)
     a = P.ideal([x**2, y**2])
+    meets = []
+    intersect = Ideal.intersect
+    monkeypatch.setattr(
+        Ideal, "intersect", lambda self, other: meets.append(other) or intersect(self, other)
+    )
     L = link(a, a)
     assert L.degenerate
     assert L.J.is_unit()
+    # (a : (1)) is a itself: the back-link and every corner run no elimination
+    assert a.colon(L.J) is a
     # reciprocity still trivially consistent: len_J = 0 at every q
     rep = reciprocity_report(a, a, 1)
     assert all(r.len_j == 0 for r in rep.rows)
     assert all(r.smith_ok for r in rep.rows)
     assert rep.degenerate
+    assert rep.rows[1].corner.equals(a.bracket_power(5))
+    assert meets == []
 
 
 def test_link_preconditions():
@@ -312,13 +325,17 @@ def test_row_identities_are_asserted(monkeypatch, target, q, bump, call, match):
 
 def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
     # The q = 1 corner is I by double linkage; every other corner is one
-    # colon on the row's own a^[q], so no Groebner input is run twice.
+    # colon on the row's own a^[q], so no Groebner input is run twice.  The
+    # sphere's link J = (x^2, z^2, y) drops x^2 = -y^2 - z^2 mod C, so of
+    # J^[q]'s generators only z^(2q) lies outside a^[q]: one intersection
+    # per colon.
     _, _, I, a = sphere()
     L = link(I, a)
     assert corner_power(L, 1) is L.I
-    runs, colons = [], []
+    runs, colons, meets = [], [], []
     buchberger = ideals.buchberger
     colon = Ideal.colon
+    intersect = Ideal.intersect
 
     def spy(ring, gens):
         runs.append((ring.signature(), tuple(gens)))
@@ -328,14 +345,33 @@ def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
         colons.append(other)
         return colon(self, other)
 
+    def counting_intersect(self, other):
+        meets.append(other)
+        return intersect(self, other)
+
     monkeypatch.setattr(ideals, "buchberger", spy)
     monkeypatch.setattr(Ideal, "colon", counting_colon)
+    monkeypatch.setattr(Ideal, "intersect", counting_intersect)
     problem = os.path.join(os.path.dirname(__file__), "..", "problems", "sphere.json")
     argv = ["reciprocity", "--in", problem, "--ideal", "I", "--ci", "a", "--nmax", "3"]
     assert cli.main(argv) == 0
-    assert len(runs) == len(set(runs)) == 31
+    assert len(runs) == len(set(runs)) == 23
     assert len(colons) == 2 + 3  # link's two, then one per q > 1
+    assert len(meets) == 5  # (a : I), (a : J), then one per q > 1
     assert json.loads(capsys.readouterr().out)["rows"][3]["len_corner"] == 2 * 125**2
+
+
+def test_reciprocity_sphere_through_q_3125_frozen_values():
+    # With J = (z^2, y) each corner is one elimination, so q = 5^5 runs
+    # within the default term budget.
+    _, _, I, a = sphere()
+    rep = reciprocity_report(I, a, 5)
+    assert [(r.q, r.len_i, r.len_j, r.len_a, r.len_corner) for r in rep.rows] == [
+        (5**n, 2 * 25**n, 4 * 25**n, 6 * 25**n, 2 * 25**n) for n in range(6)
+    ]
+    assert all(r.deviation == 0 for r in rep.rows)
+    assert rep.reciprocity_all_q
+    assert rep.pd_probe == FINITE
 
 
 def test_reciprocity_rejects_zero_dimensional_rings():
@@ -353,7 +389,9 @@ def test_reciprocity_probe_when_nmax_zero():
     assert rep.pd_probe == INFINITE_PD  # probed at p^2 behind the scenes
 
 
-def test_randomized_smith_identity_over_three_presentations():
+def randomized_links():
+    """Seeded (I, a) pairs over the free plane, the node and the sphere; a
+    pair whose I is the unit ideal is left out."""
     rng = random.Random(31)
     R2 = PolyRing(5, ("x", "y"))
     x, y = R2.variable(0), R2.variable(1)
@@ -378,16 +416,106 @@ def test_randomized_smith_identity_over_three_presentations():
         a = [y3, z3**k]
         cases.append((sphereP, a, [z3 ** rng.randint(1, 2)]))
 
-    checked = 0
+    pairs = []
     for P, a_gens, extra in cases:
         a = P.ideal(a_gens)
         I = P.ideal(list(a_gens) + extra)
-        if I.is_unit():
-            continue
+        if not I.is_unit():
+            pairs.append((I, a))
+    return pairs
+
+
+def test_randomized_smith_identity_over_three_presentations():
+    pairs = randomized_links()
+    for I, a in pairs:
         L = link(I, a)
         assert I.colength() + L.J.colength() == a.colength()
-        checked += 1
-    assert checked >= 10
+    assert len(pairs) >= 10
+
+
+def reference_link(I, a):
+    """`link` as it was before J was made irredundant: J is (a : I) exactly
+    as the colon returns it, generators repeating C included."""
+    P = I.presentation
+    if not P.is_full_ci(a) or not I.contains_ideal(a) or not I.is_m_primary():
+        raise PreconditionViolated("not a linkage pair")
+    J = a.colon(I)
+    degenerate = J.is_unit()
+    back = a.colon(J)
+    if not back.equals(I):
+        raise DoubleLinkFailed(f"(a : J) != I for I = {I!r}, a = {a!r}")
+    return LinkageDatum(presentation=P, I=I, a=a, J=J, degenerate=degenerate)
+
+
+def differential_links():
+    """(I, a) by name: the problem files node, regular2 and sphere; sphere
+    links ((y, z^j) + extra, (y, z^k)), whose colon's J holds a generator
+    that the others and C give; and the randomized links."""
+    out = {}
+    for name in ("node", "regular2", "sphere"):
+        problem = load_problem(os.path.join(PROBLEMS, f"{name}.json"))
+        out[name] = (problem.ideal("I"), problem.ideal("a"))
+    R, P, _, _ = sphere()
+    x, y, z = (R.variable(i) for i in range(3))
+    for k, j, extra in [(2, 1, []), (4, 1, []), (3, 2, [x * z]), (4, 2, [x * z])]:
+        name = f"sphere-k{k}-j{j}" + ("-xz" if extra else "")
+        out[name] = (P.ideal([y, z**j] + extra), P.ideal([y, z**k]))
+    for k, pair in enumerate(randomized_links()):
+        out[f"random{k}"] = pair
+    return out
+
+
+DIFFERENTIAL_LINKS = differential_links()
+
+
+@pytest.mark.parametrize(
+    "pair", list(DIFFERENTIAL_LINKS.values()), ids=list(DIFFERENTIAL_LINKS)
+)
+def test_irredundant_link_matches_the_colon_as_returned(pair):
+    # Dropping a generator that lies in the others plus C keeps J^[q] + C,
+    # so every bracket power, corner and back-link has the same reduced
+    # basis as with the J the colon returned.
+    I, a = pair
+    L, ref = link(I, a), reference_link(I, a)
+    assert L.degenerate == ref.degenerate
+    assert L.J.groebner().basis == ref.J.groebner().basis
+    assert a.colon(L.J).groebner().basis == a.colon(ref.J).groebner().basis
+    p = I.ring.p
+    for q in (1, p, p * p):
+        J_q, ref_q = L.J.bracket_power(q), ref.J.bracket_power(q)
+        assert J_q.groebner().basis == ref_q.groebner().basis
+        a_q = a.bracket_power(q)
+        assert a_q.colon(J_q).groebner().basis == a_q.colon(ref_q).groebner().basis
+    gens = L.J.gens
+    assert len(gens) <= len(ref.J.gens)
+    for k, g in enumerate(gens):
+        others = Ideal(I.ring, gens[:k] + gens[k + 1 :], L.presentation)
+        assert not others.contains(g)
+
+
+def test_sphere_link_drops_the_generator_that_repeats_c():
+    # x^2 = -y^2 - z^2 mod C, so of the colon's (x^2, z^2, y) only (z^2, y)
+    # is kept: dim R = 2 generators, where the Krull skip stops the tests.
+    R, _, I, a = sphere()
+    x, y, z = (R.variable(i) for i in range(3))
+    assert reference_link(I, a).J.gens == (x**2, z**2, y)
+    assert link(I, a).J.gens == (z**2, y)
+
+
+def test_link_with_at_most_dim_generators_runs_no_membership_test(monkeypatch):
+    # Fewer than dim S elements, C included, generate no m-primary ideal but
+    # (1), so a J on at most dim R generators is kept without a test.
+    R, P = free2()
+    x, y = R.variable(0), R.variable(1)
+    I, a = P.ideal([x, y**2]), P.ideal([x**2, y**2])
+    assert len(a.colon(I).gens) == P.dim
+    tested = []
+    contains = Ideal.contains
+    monkeypatch.setattr(
+        Ideal, "contains", lambda self, f: tested.append(self) or contains(self, f)
+    )
+    assert link(I, a).J.equals(I)
+    assert tested and all(ideal is I or ideal is a for ideal in tested)
 
 
 def test_parity_examples():
