@@ -2,7 +2,6 @@
 over prime fields."""
 
 from .errors import (
-    DivisionByZero,
     DoubleLinkFailed,
     EmptyVariety,
     HKForgeError,
@@ -41,12 +40,11 @@ from .oracle import colength_bruteforce
 from .parsing import parse_polynomial
 from .poly import MonomialOrder, Polynomial, PolyRing
 from .problem import ProblemFile, load_problem, problem_from_dict
-from .scalar import PrimeField, rational, render_rational
+from .scalar import render_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DivisionByZero",
     "DoubleLinkFailed",
     "EmptyVariety",
     "GroebnerBasis",
@@ -65,7 +63,6 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "PreconditionViolated",
-    "PrimeField",
     "ProblemFile",
     "QuotientPresentation",
     "ReciprocityReport",
@@ -87,7 +84,6 @@ __all__ = [
     "parse_polynomial",
     "pd_finite_probe",
     "problem_from_dict",
-    "rational",
     "reciprocity_report",
     "render_rational",
     "reynolds",

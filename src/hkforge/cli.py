@@ -248,7 +248,7 @@ def _cmd_invariant(args) -> None:
     problem = _load(args)
     if not problem.group:
         raise PreconditionViolated("problem file declares no group")
-    G = group_closure(problem.ring.field, problem.group, cap=args.max_group)
+    G = group_closure(problem.ring.p, problem.group, cap=args.max_group)
     result = noether_ideal(problem.ring, G)
     _emit_json(
         {

@@ -15,10 +15,6 @@ class PreconditionViolated(HKForgeError):
     exit_code = 2
 
 
-class DivisionByZero(PreconditionViolated):
-    pass
-
-
 class RingMismatch(PreconditionViolated):
     """Operands live in different rings (modulus, variables or order differ)."""
 

@@ -177,7 +177,7 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise InternalError("exact division by zero")
     ring = f.ring
-    inv_lc = ring.field.inv(g.leading_coefficient())
+    inv_lc = pow(g.leading_coefficient(), -1, ring.p)
     lt = g.leading_monomial()
     quotient = []
     work = f

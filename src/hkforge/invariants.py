@@ -2,8 +2,10 @@
 ideal generated by positive-degree invariants.
 
 The action is by linear substitution x_j -> sum_i M[i][j] x_i, which makes
-(gh).f = g.(h.f).  Everything requires p coprime to the group order; the
-Reynolds operator divides by |G|.
+(gh).f = g.(h.f).  A `MatrixGroup` carries its modulus p, a plain int as
+on `PolyRing`, and acts only on rings with the same p.  Everything requires
+p coprime to the group order; the Reynolds operator divides by |G|, taking
+1/|G| mod p with the builtin ``pow``.
 
 Reynolds by Kronecker substitution
 ----------------------------------
@@ -52,9 +54,8 @@ from .errors import (
     ResourceCap,
 )
 from .groebner import GroebnerBasis, buchberger, env_int
-from .ideals import Ideal
 from .poly import Exponents, Polynomial, PolyRing, monomials_of_degree
-from .scalar import PrimeField, rational
+from .scalar import prime_modulus
 
 DEFAULT_MAX_GROUP = 5000
 
@@ -65,10 +66,10 @@ def default_max_group() -> int:
     return env_int("HKFORGE_MAX_GROUP", DEFAULT_MAX_GROUP)
 
 
-def _normalize_matrix(field: PrimeField, m: Sequence[Sequence[int]], n: int) -> Matrix:
+def _normalize_matrix(p: int, m: Sequence[Sequence[int]], n: int) -> Matrix:
     if len(m) != n or any(len(row) != n for row in m):
         raise PreconditionViolated(f"group matrices must be {n}x{n}")
-    return tuple(tuple(field.normalize(a) for a in row) for row in m)
+    return tuple(tuple(a % p for a in row) for row in m)
 
 
 def _mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix:
@@ -79,9 +80,8 @@ def _mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _is_invertible(field: PrimeField, m: Matrix) -> bool:
+def _is_invertible(p: int, m: Matrix) -> bool:
     """Gaussian elimination over F_p; singular matrices have no group action."""
-    p = field.p
     n = len(m)
     rows = [list(r) for r in m]
     for col in range(n):
@@ -89,7 +89,7 @@ def _is_invertible(field: PrimeField, m: Matrix) -> bool:
         if pivot is None:
             return False
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = field.inv(rows[col][col])
+        inv = pow(rows[col][col], -1, p)
         rows[col] = [a * inv % p for a in rows[col]]
         for r in range(n):
             if r != col and rows[r][col]:
@@ -100,7 +100,7 @@ def _is_invertible(field: PrimeField, m: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    field: PrimeField
+    p: int
     n: int
     elements: tuple[Matrix, ...]
 
@@ -108,27 +108,23 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def p(self) -> int:
-        return self.field.p
-
 
 def group_closure(
-    p: int | PrimeField,
+    p: int,
     gens: Sequence[Sequence[Sequence[int]]],
     cap: Optional[int] = None,
 ) -> MatrixGroup:
     """Breadth-first multiplicative closure of the generating matrices."""
-    field = p if isinstance(p, PrimeField) else PrimeField(p)
+    p = prime_modulus(p)
     if cap is None:
         cap = default_max_group()
     if not gens:
         raise PreconditionViolated("a group needs at least one generator")
     n = len(gens[0])
-    mats = [_normalize_matrix(field, g, n) for g in gens]
+    mats = [_normalize_matrix(p, g, n) for g in gens]
     for m in mats:
-        if not _is_invertible(field, m):
-            raise PreconditionViolated(f"matrix {m} is singular over F_{field.p}")
+        if not _is_invertible(p, m):
+            raise PreconditionViolated(f"matrix {m} is singular over F_{p}")
     identity = tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
     )
@@ -138,18 +134,18 @@ def group_closure(
         nxt = []
         for a in frontier:
             for g in mats:
-                b = _mat_mul(field.p, a, g)
+                b = _mat_mul(p, a, g)
                 if b not in seen:
                     seen.add(b)
                     if len(seen) > cap:
                         raise ResourceCap(f"group order exceeds cap {cap}")
                     nxt.append(b)
         frontier = nxt
-    if gcd(len(seen), field.p) != 1:
+    if gcd(len(seen), p) != 1:
         raise ModularCase(
-            f"group order {len(seen)} is divisible by the characteristic {field.p}"
+            f"group order {len(seen)} is divisible by the characteristic {p}"
         )
-    return MatrixGroup(field, n, tuple(sorted(seen)))
+    return MatrixGroup(p, n, tuple(sorted(seen)))
 
 
 def _orbit_sums(
@@ -192,7 +188,7 @@ def _orbit_sums(
     offsets = [slot * sum(a * base ** (i - 1) for i, a in enumerate(e) if i) for e in degree_d]
     monos = [ring.pack(e) for e in degree_d]
     size = slot * base ** (n - 1)
-    scale = G.field.inv(G.order % p)
+    scale = pow(G.order % p, -1, p)
     from_bytes = int.from_bytes
     for row in rows:
         total = 0
@@ -212,7 +208,7 @@ def reynolds(f: Polynomial, G: MatrixGroup) -> Polynomial:
     Each homogeneous component of f is one row of ``_orbit_sums``.
     """
     ring = f.ring
-    if ring.field != G.field or ring.n != G.n:
+    if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("polynomial and group live over different spaces")
     components: dict[int, list[tuple[Exponents, int]]] = {}
     for m, c in f.terms:
@@ -232,7 +228,7 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
     monomial.  The images of all degree-d monomials come from one
     ``_orbit_sums`` call.
     """
-    if ring.field != G.field or ring.n != G.n:
+    if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
     if d < 1:
         raise PreconditionViolated("degree must be >= 1")
@@ -257,7 +253,6 @@ class InvariantIdealResult:
     d_stop: int
     colength: int
     e_hk: Fraction
-    ideal: Ideal
 
 
 def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
@@ -269,7 +264,7 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
     degree d span (S/nR)_d, and that test says (S/nR)_d = 0, i.e. every
     degree-d monomial reduces to zero.  The stop degree may not exceed |G|.
     """
-    if ring.field != G.field or ring.n != G.n:
+    if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
     gens: list[Polynomial] = []
     basis: Optional[GroebnerBasis] = None
@@ -283,15 +278,13 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
             any(ring.divides(g.leading_monomial(), m) for g in basis.basis)
             for m in map(ring.pack, monomials_of_degree(ring.n, d))
         ):
-            ideal = Ideal(ring, tuple(gens))
             colength = basis.colength()
             return InvariantIdealResult(
                 group_order=G.order,
                 generators=gens,
                 d_stop=d,
                 colength=int(colength),
-                e_hk=rational(int(colength), G.order),
-                ideal=ideal,
+                e_hk=Fraction(int(colength), G.order),
             )
     raise NoetherBoundViolated(
         f"invariant ideal not saturated by degree |G| = {G.order}"
@@ -311,7 +304,7 @@ def noether_bound_value(n: int, g: int) -> MultiplicityBound:
     ordinary multiplicity (reported only, never computed here)."""
     if n < 1 or g < 1:
         raise PreconditionViolated("need n >= 1 and g >= 1")
-    bound = rational(comb(n - 1 + g, n), g)
+    bound = Fraction(comb(n - 1 + g, n), g)
     if n == 2:
-        return MultiplicityBound(bound, rational(g + 1, 2), g + 1)
+        return MultiplicityBound(bound, Fraction(g + 1, 2), g + 1)
     return MultiplicityBound(bound, None, None)

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .groebner import INFINITE
 from .ideals import Ideal, QuotientPresentation
-from .scalar import rational
 
 FINITE = "finite"
 INFINITE_PD = "infinite"
@@ -169,9 +168,9 @@ def _row(L: LinkageDatum, q: int) -> HKRow:
         len_corner=len_corner,
         deviation=dev,
         smith_ok=len_i + len_j == len_a,
-        normalized_i=rational(len_i, scale),
-        normalized_j=rational(len_j, scale),
-        normalized_a=rational(len_a, scale),
+        normalized_i=Fraction(len_i, scale),
+        normalized_j=Fraction(len_j, scale),
+        normalized_a=Fraction(len_a, scale),
         corner=corner,
     )
 
@@ -224,7 +223,7 @@ def hk_table(I: Ideal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
         except ResourceCap as exc:
             exc.completed = n - 1
             raise
-        rows.append((n, q, length, rational(length, q**d)))
+        rows.append((n, q, length, Fraction(length, q**d)))
     return rows
 
 

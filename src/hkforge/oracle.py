@@ -109,7 +109,7 @@ class MacaulayFrame:
         """Reduce a row of packed columns into the frame; True if the rank grew."""
         e = self._reduce(row)
         if e is not None:
-            inv = self.ring.field.inv(row.pop(e))
+            inv = pow(row.pop(e), -1, self.p)
             self.pivots[e] = tuple((t, c * inv % self.p) for t, c in row.items() if c)
             d = self.degree(e)
             self._pivots_of_degree[d] = self._pivots_of_degree.get(d, 0) + 1

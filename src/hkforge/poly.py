@@ -2,7 +2,7 @@
 
 A polynomial is an immutable, canonically sorted tuple of
 (monomial, nonzero int coefficient) terms.  Coefficients are plain ints
-reduced mod p; the ring object owns the field, the active order and the
+reduced mod p; the ring owns the modulus p, the active order and the
 packing of monomials.  Frobenius powers and partial derivatives live here
 because they are term-level rewrites; linear substitution, the reference
 group action, is plain polynomial arithmetic.
@@ -69,7 +69,7 @@ from operator import le, neg
 from typing import Iterable, Sequence
 
 from .errors import NotAPowerOfP, PreconditionViolated, ResourceCap, RingMismatch
-from .scalar import PrimeField
+from .scalar import prime_modulus
 
 MAX_VARS = 16
 # Bracket exponents are capped at p^6: beyond desk scale, and exponent
@@ -191,13 +191,13 @@ class PolyRing:
     of its monomials (see the module docstring)."""
 
     __slots__ = (
-        "field", "names", "order", "n",
+        "p", "names", "order", "n",
         "width", "max_degree", "guard", "heap_flip",
         "_key_flip", "_shifts", "_field_shifts", "_units", "_blocks", "_elimination",
     )
 
-    def __init__(self, p: int | PrimeField, names: Sequence[str], order: MonomialOrder | None = None):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+    def __init__(self, p: int, names: Sequence[str], order: MonomialOrder | None = None):
+        self.p = prime_modulus(p)
         names = tuple(names)
         if not names:
             raise PreconditionViolated("a ring needs at least one variable")
@@ -245,22 +245,18 @@ class PolyRing:
         self._key_flip = key_flip
         self.heap_flip = sum(limit << s for s in field_shifts) ^ key_flip
 
-    @property
-    def p(self) -> int:
-        return self.field.p
-
     def __eq__(self, other):
         if self is other:
             return True
         return (
             isinstance(other, PolyRing)
-            and self.field == other.field
+            and self.p == other.p
             and self.names == other.names
             and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.names, self.order))
+        return hash((self.p, self.names, self.order))
 
     def __repr__(self):
         return f"F_{self.p}[{','.join(self.names)}] ({self.order.name})"
@@ -271,7 +267,7 @@ class PolyRing:
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         if order == self.order:
             return self
-        return PolyRing(self.field, self.names, order)
+        return PolyRing(self.p, self.names, order)
 
     def check_same(self, other: "PolyRing"):
         if self != other:
@@ -289,7 +285,7 @@ class PolyRing:
             aux = "t"
             while aux in self.names:
                 aux += "_"
-            ext = PolyRing(self.field, (aux,) + self.names, MonomialOrder.elim(1))
+            ext = PolyRing(self.p, (aux,) + self.names, MonomialOrder.elim(1))
             grevlex = self.with_order(MonomialOrder.grevlex())
             assert ext.width == grevlex.width and ext._units[1:] == grevlex._units
             self._elimination = ext
@@ -414,7 +410,7 @@ class PolyRing:
 
     def convert(self, f: "Polynomial") -> "Polynomial":
         """Re-sort a polynomial from a ring that differs only in its order."""
-        if f.ring.field != self.field or f.ring.names != self.names:
+        if f.ring.p != self.p or f.ring.names != self.names:
             raise RingMismatch(f"{f.ring!r} vs {self!r}")
         if f.ring.order == self.order:
             return f
@@ -561,8 +557,7 @@ class Polynomial:
         lc = self.terms[0][1]
         if lc == 1:
             return self
-        inv = self.ring.field.inv(lc)
-        return self * inv
+        return self * pow(lc, -1, self.ring.p)
 
     def multiply_monomial(self, mono: int, coeff: int) -> "Polynomial":
         """Fast multiply by coeff times the packed monomial mono; stays
@@ -584,8 +579,8 @@ class Polynomial:
         ring.bracket_level(q)
         if self.terms and max(ring._fields(self.span)) * q > ring.max_degree:
             raise ring._too_wide()
-        field = ring.field
-        return Polynomial(ring, tuple((m * q, field.pow(c, q)) for m, c in self.terms))
+        p = ring.p
+        return Polynomial(ring, tuple((m * q, pow(c, q, p)) for m, c in self.terms))
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "Polynomial":
         """Image under x_j -> sum_i M[i][j] x_i (column action): the sum of

@@ -1,9 +1,9 @@
 """Exact arithmetic: prime fields F_p and arbitrary-precision rationals.
 
-Field elements are plain integers in [0, p); the `PrimeField` object owns
-the modulus, inverses and powers, and callers reduce sums and products with
-``% p``.  Rationals are `fractions.Fraction`, which already keeps the
-canonical reduced form with a positive denominator.
+A field is its modulus p, a plain int: elements are ints in [0, p), callers
+reduce sums and products with ``% p``, and inverses and powers are the
+builtin ``pow``.  Rationals are `fractions.Fraction`, which already keeps
+the canonical reduced form with a positive denominator.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, PreconditionViolated, ResourceCap
+from .errors import PreconditionViolated, ResourceCap
 
 MAX_MODULUS = 2**31
 
@@ -30,45 +30,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The field F_p.  Member values are ints reduced into [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise PreconditionViolated(f"modulus {p!r} is not prime")
-        if p >= MAX_MODULUS:
-            raise PreconditionViolated(f"modulus {p} exceeds 2^31")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"F_{self.p}"
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def inv(self, a: int) -> int:
-        return self.pow(a, -1)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e in F_p; a negative e needs a nonzero base."""
-        if e < 0 and a % self.p == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
-        return pow(a, e, self.p)
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Canonical reduced rational with positive denominator."""
-    if den == 0:
-        raise DivisionByZero("rational with zero denominator")
-    return Fraction(num, den)
+def prime_modulus(p: int) -> int:
+    """p itself when it is a prime below 2^31; PreconditionViolated otherwise."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise PreconditionViolated(f"modulus {p!r} is not prime")
+    if p >= MAX_MODULUS:
+        raise PreconditionViolated(f"modulus {p} exceeds 2^31")
+    return p
 
 
 def render_rational(q: Fraction) -> str:

@@ -305,7 +305,7 @@ def naive_reynolds(f, G):
     orbit_sum = f.ring.zero()
     for m in G.elements:
         orbit_sum = orbit_sum + f.substitute_linear(m)
-    return orbit_sum * G.field.inv(G.order % G.p)
+    return orbit_sum * pow(G.order % G.p, -1, G.p)
 
 
 def reference_invariant_basis(R, G, top):
@@ -320,7 +320,7 @@ def reference_invariant_basis(R, G, top):
             for j in range(R.n)
         ]
         images.append((columns, {one: R.one()}))
-    scale = G.field.inv(G.order % G.p)
+    scale = pow(G.order % G.p, -1, G.p)
     bases = {}
     for d in range(1, top + 1):
         pivots = {}
@@ -481,7 +481,7 @@ def reference_intersect(I, J):
     aux = "t"
     while aux in ring.names:
         aux += "_"
-    ext = PolyRing(ring.field, (aux,) + ring.names, MonomialOrder.elim(1))
+    ext = PolyRing(ring.p, (aux,) + ring.names, MonomialOrder.elim(1))
 
     def embed(f):
         return ext.from_terms(((0,) + e, c) for e, c in f.exponent_terms())

@@ -8,6 +8,7 @@ from hkforge.errors import (
     PreconditionViolated,
     ResourceCap,
 )
+from hkforge.ideals import Ideal
 from hkforge.invariants import (
     group_closure,
     invariant_basis,
@@ -150,9 +151,9 @@ def test_all_group_degree_monomials_lie_in_the_ideal():
     for p, gens, order, *_ in CORPUS:
         R = PolyRing(p, ("x", "y"))
         G = group_closure(p, gens)
-        result = noether_ideal(R, G)
+        ideal = Ideal(R, noether_ideal(R, G).generators)
         for exps in monomials_of_degree(2, order):
-            assert result.ideal.contains(R.monomial(exps)), (p, gens, exps)
+            assert ideal.contains(R.monomial(exps)), (p, gens, exps)
 
 
 def test_e_hk_respects_the_binomial_bound():
@@ -192,7 +193,7 @@ def test_convention_independence_of_the_two_models():
     )
     a = noether_ideal(R, G)
     b = noether_ideal(R, transposed)
-    assert a.ideal.equals(b.ideal)
+    assert Ideal(R, a.generators).equals(Ideal(R, b.generators))
     # a non-symmetric order-2 model: the ideals may differ between models,
     # the numbers may not
     refl = [[1, 1], [0, 4]]

@@ -18,7 +18,7 @@ def random_polynomial(ring, rng):
     terms = {}
     for _ in range(rng.randint(0, 6)):
         exps = tuple(rng.randint(0, 4) for _ in ring.names)
-        terms[exps] = rng.randint(1, ring.field.p - 1)
+        terms[exps] = rng.randint(1, ring.p - 1)
     return ring.from_terms(terms.items())
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import hkforge.cli as cli
 from hkforge.errors import ParseError, PreconditionViolated
 from hkforge.problem import load_problem, problem_from_dict
 
@@ -15,7 +16,7 @@ def test_whole_corpus_loads():
     assert len(paths) >= 20
     for path in paths:
         problem = load_problem(path)
-        assert problem.ring.field.p >= 2
+        assert problem.ring.p >= 2
         for rideal in problem.ideals.values():
             assert rideal.presentation is problem.presentation
 
@@ -91,9 +92,21 @@ def test_malformed_shapes(data):
         problem_from_dict(data)
 
 
-def test_nonprime_p_rejected():
+def test_nonprime_p_rejected(capsys, tmp_path):
     with pytest.raises(PreconditionViolated):
         problem_from_dict({"p": 6, "vars": ["x"]})
+    # End to end: exit 2, nothing on stdout, one line naming the modulus.
+    for p, message in [
+        ("6", "modulus 6 is not prime"),
+        ("1", "modulus 1 is not prime"),
+        ("true", "modulus True is not prime"),
+        ("2147483659", "modulus 2147483659 exceeds 2^31"),
+    ]:
+        path = tmp_path / "bad_p.json"
+        path.write_text(f'{{"p": {p}, "vars": ["x"], "ideals": {{"I": ["x"]}}}}')
+        code = cli.main(["colength", "--in", str(path), "--ideal", "I"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n"), p
 
 
 def test_parse_errors_surface_with_ideal_context():

@@ -1,8 +1,11 @@
-"""The README's CLI block prints what it printed when its digests were taken.
+"""The README's CLI and Library blocks print what they printed when their
+outputs were recorded.
 
-Every `hkforge ...` line of the block is run through `cli.main` from the
+Every `hkforge ...` line of the CLI block is run through `cli.main` from the
 repository root; each must exit 0 with stdout of the recorded SHA-256.  A
-change that moves one byte of these reports fails here, in tier-1.
+change that moves one byte of these reports fails here, in tier-1.  The
+Library block is run as it stands, and every name the package exports must
+resolve, so a dropped export cannot leave the documented API stale.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import shlex
 
 import pytest
 
+import hkforge
 import hkforge.cli as cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -46,11 +50,17 @@ DIGESTS = {
 }
 
 
-def readme_cli_lines() -> list[str]:
-    """The block's `hkforge` lines, program name dropped, spaces collapsed."""
+def readme_block(section: str, language: str) -> str:
+    """The first fenced block of the given language under a README heading."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         text = handle.read()
-    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", text, re.S | re.M).group(1)
+    pattern = rf"^## {section}$.*?^```{language}$(.*?)^```$"
+    return re.search(pattern, text, re.S | re.M).group(1)
+
+
+def readme_cli_lines() -> list[str]:
+    """The block's `hkforge` lines, program name dropped, spaces collapsed."""
+    block = readme_block("CLI", "sh")
     return [
         " ".join(shlex.split(line)[1:])
         for line in block.splitlines()
@@ -69,3 +79,14 @@ def test_readme_line_prints_recorded_bytes(capsys, monkeypatch, line):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[line]
+
+
+def test_readme_library_block_prints_the_node_rows(capsys):
+    exec(readme_block("Library", "python"), {})
+    # q, len(R/I^[q]) and the deviation on the node, for n = 0, 1, 2.
+    assert capsys.readouterr().out == "1 1 0\n5 9 8\n25 49 48\n"
+
+
+def test_every_export_resolves():
+    missing = [name for name in hkforge.__all__ if not hasattr(hkforge, name)]
+    assert missing == []
