@@ -57,15 +57,22 @@ def _emit_tsv(header: list[str], rows: list[dict]):
         print("\t".join(_tsv_cell(row[k]) for k in header))
 
 
-def _oracle_check(label: str, ideal, engine_value):
+def _oracle_check(label: str, ideal, engine_value, memo: dict):
     """Recompute a colength by Macaulay brute force and insist on agreement.
 
-    An oracle that gives up without certifying a value is a resource cap,
-    not a disagreement.
+    The oracle sees the lift with repeated generators dropped, and memo, one
+    per command, keeps its verdict on each generator set, so an ideal that
+    recurs (a corner equal to I^[q], or whose lift repeats C) is certified
+    once; every engine value is still compared.  An oracle that gives up
+    without certifying a value is a resource cap, not a disagreement.
     """
     if engine_value == INFINITE:
         return "infinite"
-    value = colength_bruteforce(ideal.ring, ideal.lift_gens)
+    gens = tuple(dict.fromkeys(ideal.lift_gens))
+    key = frozenset(gens)
+    if key not in memo:
+        memo[key] = colength_bruteforce(ideal.ring, gens)
+    value = memo[key]
     if value is None:
         raise ResourceCap(f"oracle could not certify {label} (engine {engine_value})")
     if value != engine_value:
@@ -98,7 +105,7 @@ def _cmd_colength(args) -> None:
     value = ideal.colength()
     payload = {"colength": _scalar(value)}
     if args.oracle:
-        payload["oracle_colength"] = _scalar(_oracle_check(args.ideal, ideal, value))
+        payload["oracle_colength"] = _scalar(_oracle_check(args.ideal, ideal, value, {}))
     _emit_json(payload)
 
 
@@ -157,8 +164,9 @@ def _cmd_hk(args) -> None:
     ideal = problem.ideal(args.ideal)
     rows = hk_table(ideal, args.nmax)
     if args.oracle:
+        memo: dict = {}
         for n, q, length, _ in rows:
-            _oracle_check(f"{args.ideal}^[{q}]", ideal.bracket_power(q), length)
+            _oracle_check(f"{args.ideal}^[{q}]", ideal.bracket_power(q), length, memo)
     table = [
         {"n": n, "q": q, "length": length, "normalized": _scalar(norm)}
         for n, q, length, norm in rows
@@ -189,11 +197,12 @@ def _cmd_reciprocity(args) -> None:
     report = reciprocity_report(I, a, args.nmax)
     if args.oracle:
         L = report.linkage
+        memo: dict = {}
         for row in report.rows:
-            _oracle_check(f"len_I(q={row.q})", L.I.bracket_power(row.q), row.len_i)
-            _oracle_check(f"len_J(q={row.q})", L.J.bracket_power(row.q), row.len_j)
-            _oracle_check(f"len_a(q={row.q})", L.a.bracket_power(row.q), row.len_a)
-            _oracle_check(f"corner(q={row.q})", row.corner, row.len_corner)
+            _oracle_check(f"len_I(q={row.q})", L.I.bracket_power(row.q), row.len_i, memo)
+            _oracle_check(f"len_J(q={row.q})", L.J.bracket_power(row.q), row.len_j, memo)
+            _oracle_check(f"len_a(q={row.q})", L.a.bracket_power(row.q), row.len_a, memo)
+            _oracle_check(f"corner(q={row.q})", row.corner, row.len_corner, memo)
     table = [
         {
             "n": r.n,

@@ -31,6 +31,50 @@ one slice per degree-d monomial give the exact integer coefficients, which
 are reduced mod p and scaled by 1/|G|.  B and w both grow with d, so the
 packed powers are rebuilt for every degree.
 
+Counting before computing
+-------------------------
+Before it decodes a single image, ``invariant_basis`` knows how many
+invariants degree d has.  With p not dividing |G| the modules over F_p G are
+semisimple, and Molien's formula holds with Brauer characters (Benson,
+*Polynomial Invariants of Finite Groups*, 1993):
+
+    dim (S^G)_d = (1/|G|) sum_g h_d(lambda_1(g), .., lambda_n(g)),
+
+where the lambda_i(g) are the eigenvalues of g lifted to roots of unity of
+order prime to p and h_d is the complete homogeneous symmetric polynomial.
+``_invariant_counts(G, top)`` evaluates it in Z/p^k:
+
+- Precision: k is the least with p^k > C(n + top - 1, n - 1), the number of
+  degree-top monomials.  A count is a rank, at most that number, so its
+  residue mod p^k is the count itself for every d <= top.
+- Lift: g~ = g^E mod p^k with E = p^(k-1) (p^-(k-1) mod |G|).  Over the
+  p-adic integers the integer matrix g is T U with T of finite order prime
+  to p (T^|G| = I, eigenvalues the lifted lambda_i) and U = I mod p
+  commuting with T.  E = 1 mod |G|, so g~ = g mod p and T^E = T, and the
+  factor p^(k-1) kills U: U^(p^(k-1)) = I mod p^k.  So g~ = T mod p^k, and
+  its characteristic polynomial mod p^k has the lifted eigenvalues as roots.
+- Coefficients: e_1 .. e_n of g~ by Faddeev-LeVerrier on the integer
+  matrix, every division exact over Z, reduced mod p^k (principal-minor
+  sums would cost 2^n determinants, and n goes up to 16).  Then
+  h_d = sum_{i <= min(n, d)} (-1)^(i-1) e_i h_(d-i) needs no division, and
+  the count is |G|^-1 sum_classes |class| h_d mod p^k.
+- Class key: the characteristic polynomial mod p.  Elements with the same
+  key have the same eigenvalues, hence the same lifts and the same h_d, so
+  one element per class is lifted.
+
+The counts assume that ``G.elements`` is a group, as ``group_closure``
+builds it: Molien's formula averages over a group, and for a set that is
+not closed under products it counts nothing.  They are kept on the group in
+one band that reaches |G|, the last degree ``noether_ideal`` can visit; the
+lifts, not the band's length, are most of their cost.
+
+The loop may stop at the count.  The Reynolds operator maps S_d onto
+(S^G)_d, so the images of the degree-d monomials span it; once the pivot
+rows number dim (S^G)_d, every later image lies in their span and would
+reduce to zero, so the basis is the one the whole loop would build.  A
+degree whose count is 0 pulls no image.  A degree that runs out of images
+short of its count is an engine bug and raises ``InternalError``.
+
 The invariant ideal nR is accumulated degree by degree and the loop stops at
 the first degree d where every degree-d monomial lies in the leading-term
 ideal: any higher-degree invariant lies in m^d, hence in the accumulated
@@ -41,13 +85,15 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
+    InternalError,
     ModularCase,
     NoetherBoundViolated,
     PreconditionViolated,
@@ -73,11 +119,8 @@ def _normalize_matrix(p: int, m: Sequence[Sequence[int]], n: int) -> Matrix:
 
 
 def _mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
+    columns = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in columns]) for row in a])
 
 
 def _is_invertible(p: int, m: Matrix) -> bool:
@@ -98,15 +141,82 @@ def _is_invertible(p: int, m: Matrix) -> bool:
     return True
 
 
+def _mat_pow(q: int, a: Matrix, e: int) -> Matrix:
+    """a^e mod q by squaring; a^0 is the identity."""
+    n = len(a)
+    result = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    while e:
+        if e & 1:
+            result = _mat_mul(q, result, a)
+        e >>= 1
+        if e:
+            a = _mat_mul(q, a, a)
+    return result
+
+
+def _elementary(a: Matrix) -> list[int]:
+    """e_1 .. e_n of an integer matrix's eigenvalues, by Faddeev-LeVerrier:
+    with P_1 = A, c_k = -tr(P_k) / k and P_(k+1) = A (P_k + c_k I), the
+    characteristic polynomial is sum_k c_k x^(n-k) and e_k = (-1)^k c_k.
+    Every division is exact over Z; of P_n only the trace is needed."""
+    n = len(a)
+    trace_a = sum([a[i][i] for i in range(n)])
+    product, trace = a, trace_a
+    es = []
+    for k in range(1, n + 1):
+        c = -trace // k
+        es.append(-c if k & 1 else c)
+        if k == n:
+            break
+        columns = tuple(zip(*product))
+        if k == n - 1:
+            trace = sum([sum(map(mul, row, columns[i])) for i, row in enumerate(a)]) + c * trace_a
+        else:
+            product = [
+                [sum(map(mul, row, col)) + c * x for col, x in zip(columns, row)] for row in a
+            ]
+            trace = sum([product[i][i] for i in range(n)])
+    return es
+
+
 @dataclass(frozen=True)
 class MatrixGroup:
     p: int
     n: int
     elements: tuple[Matrix, ...]
+    # dim (S^G)_d for d = 0, 1, ..: the band of Molien counts that
+    # ``invariant_basis`` reads and widens when a degree passes it.
+    _counts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def _invariant_counts(G: MatrixGroup, top: int) -> list[int]:
+    """dim (S^G)_d for d = 0 .. top by Molien's formula, evaluated in Z/p^k
+    (see "Counting before computing" in the module docstring)."""
+    p, n = G.p, G.n
+    q = p
+    while q <= comb(n + top - 1, n - 1):
+        q *= p
+    # One element and the size of each class of elements with the same
+    # characteristic polynomial mod p.
+    classes: dict[tuple[int, ...], list] = {}
+    for g in G.elements:
+        classes.setdefault(tuple([e % p for e in _elementary(g)]), [g, 0])[1] += 1
+    exponent = q // p * pow(q // p, -1, G.order)
+    totals = [0] * (top + 1)
+    for g, size in classes.values():
+        # h_d = sum_i (-1)^(i-1) e_i h_(d-i); signed[i - 1] = (-1)^(i-1) e_i.
+        lifted = _elementary(_mat_pow(q, g, exponent))
+        signed = [e if i & 1 else -e for i, e in enumerate(lifted, 1)]
+        h = [1]
+        for d in range(1, top + 1):
+            h.append(sum(map(mul, signed, reversed(h[-n:]))) % q)
+        totals = [t + size * x for t, x in zip(totals, h)]
+    scale = pow(G.order, -1, q)
+    return [t * scale % q for t in totals]
 
 
 def group_closure(
@@ -225,25 +335,79 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
 
     Rows are reduced against each other in descending monomial order, so the
     output is deterministic and each basis element has a distinct leading
-    monomial.  The images of all degree-d monomials come from one
-    ``_orbit_sums`` call.
+    monomial.  The images of the degree-d monomials come from one
+    ``_orbit_sums`` call, each reduced as a term dict, and are pulled only
+    until the rows number the Molien count (see "Counting before computing"
+    in the module docstring).
     """
     if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
     if d < 1:
         raise PreconditionViolated("degree must be >= 1")
-    pivots: dict[int, Polynomial] = {}
+    if d > ring.max_degree:
+        # _orbit_sums's width check, made before a degree is skipped.
+        raise ring._too_wide()
+    if len(G._counts) <= d:
+        # The first band reaches |G|, the last degree noether_ideal can
+        # visit; a degree past the band widens it to at least twice as far.
+        G._counts[:] = _invariant_counts(G, max(d, G.order, 2 * len(G._counts)))
+    count = G._counts[d]
+    if not count:
+        return []
+    p, key = ring.p, ring.key
+    # Monic pivot rows as term dicts, keyed by their leading monomials.
+    pivots: dict[int, dict[int, int]] = {}
     rows = [[(e, 1)] for e in monomials_of_degree(ring.n, d)]
     for acc in _orbit_sums(ring, G, d, rows):
-        g = ring._from_dict(acc)
-        while not g.is_zero():
-            holder = pivots.get(g.leading_monomial())
+        while acc:
+            lead = max(acc, key=key)
+            holder = pivots.get(lead)
             if holder is None:
+                scale = pow(acc[lead], -1, p)
+                pivots[lead] = {m: c * scale % p for m, c in acc.items()}
                 break
-            g = g - holder * g.leading_coefficient()
-        if not g.is_zero():
-            pivots[g.leading_monomial()] = g.monic()
-    return [pivots[k] for k in sorted(pivots, key=ring.key, reverse=True)]
+            c = acc[lead]
+            for m, a in holder.items():
+                value = (acc.get(m, 0) - c * a) % p
+                if value:
+                    acc[m] = value
+                else:
+                    del acc[m]
+        if len(pivots) == count:
+            break
+    else:
+        raise InternalError(
+            f"degree {d}: the Reynolds images span {len(pivots)} of the "
+            f"{count} invariants that Molien's formula counts"
+        )
+    return [ring._from_dict(pivots[k]) for k in sorted(pivots, key=key, reverse=True)]
+
+
+def _covers_degree(ring: PolyRing, leads: list[int], d: int) -> bool:
+    """Whether every degree-d monomial is divisible by one of the packed
+    monomials leads, in one guard-bit scan per monomial.
+
+    The leads sit side by side in one int, each in a segment of ``top``
+    bits (a packed monomial's fields, up to its highest guard bit) plus a
+    spacer bit.  For a monomial m,
+    m copied into every segment, plus the spacers, minus the leads leaves in
+    each segment m - lead mod 2^top without a borrow from its neighbour, so
+    its guard bits are 0 exactly when that lead divides m (the test of
+    ``PolyRing.divides``).  Adding 2^top - 1 to every segment of those guard
+    bits then carries into the spacer of each segment that is not 0.
+    """
+    top = ring.guard.bit_length()
+    stride = top + 1
+    ones = sum(1 << (i * stride) for i in range(len(leads)))
+    packed = sum(lead << (i * stride) for i, lead in enumerate(leads))
+    spacers = ones << top
+    guards = ring.guard * ones
+    fill = ((1 << top) - 1) * ones
+    units = [ring.pack(e) for e in monomials_of_degree(ring.n, 1)]
+    return all(
+        (((m * ones + spacers - packed) & guards) + fill) & spacers != spacers
+        for m in map(sum, combinations_with_replacement(units, d))
+    )
 
 
 @dataclass
@@ -260,9 +424,10 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
 
     Accumulates invariant_basis degree by degree; stops at the first degree
     where every monomial is divisible by a leading monomial of the
-    accumulated basis.  nR is homogeneous, so its standard monomials of
-    degree d span (S/nR)_d, and that test says (S/nR)_d = 0, i.e. every
-    degree-d monomial reduces to zero.  The stop degree may not exceed |G|.
+    accumulated basis (``_covers_degree``).  nR is homogeneous, so its
+    standard monomials of degree d span (S/nR)_d, and that test says
+    (S/nR)_d = 0, i.e. every degree-d monomial reduces to zero.  The stop
+    degree may not exceed |G|.
     """
     if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
@@ -274,9 +439,8 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
             gens.extend(layer)
             # The reduced basis of the degrees below generates what gens did.
             basis = buchberger(ring, (basis.basis if basis is not None else ()) + tuple(layer))
-        if basis is not None and all(
-            any(ring.divides(g.leading_monomial(), m) for g in basis.basis)
-            for m in map(ring.pack, monomials_of_degree(ring.n, d))
+        if basis is not None and _covers_degree(
+            ring, [g.leading_monomial() for g in basis.basis], d
         ):
             colength = basis.colength()
             return InvariantIdealResult(

@@ -542,6 +542,14 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise PreconditionViolated("negative polynomial power")
+        if len(self.terms) == 1:
+            # One term: its exponents scale by e, under frobenius_power's
+            # width check.
+            ((m, c),) = self.terms
+            ring = self.ring
+            if max(ring._fields(m)) * e > ring.max_degree:
+                raise ring._too_wide()
+            return Polynomial(ring, ((m * e, pow(c, e, ring.p)),))
         result = self.ring.one()
         base = self
         while e:

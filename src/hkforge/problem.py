@@ -55,7 +55,7 @@ def problem_from_dict(data) -> ProblemFile:
         raise ParseError(f"unknown problem keys: {sorted(unknown)}")
 
     p = data.get("p")
-    if not isinstance(p, int):
+    if not isinstance(p, int) or isinstance(p, bool):
         raise ParseError("'p' must be an integer prime")
     names = data.get("vars")
     if (

@@ -6,8 +6,9 @@ import pytest
 
 import hkforge.cli as cli
 import hkforge.linkage as linkage
-from hkforge.errors import IdentityViolation
+from hkforge.errors import IdentityViolation, InternalError
 from hkforge.ideals import Ideal
+from hkforge.problem import load_problem
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -229,6 +230,35 @@ def test_reciprocity_with_oracle(capsys, monkeypatch):
     )
     assert code == 0
     assert len(links) == 1
+
+
+def test_oracle_certifies_each_generator_set_once(capsys, monkeypatch):
+    # The corner at q = 1 is I itself, and a corner's lift repeats C.
+    seen = []
+
+    def recording_oracle(ring, gens, real=cli.colength_bruteforce):
+        seen.append(gens)
+        return real(ring, gens)
+
+    monkeypatch.setattr(cli, "colength_bruteforce", recording_oracle)
+    code, _ = run(
+        capsys, "reciprocity", "--in", path("sphere.json"),
+        "--ideal", "I", "--ci", "a", "--nmax", "1", "--oracle",
+    )
+    assert code == 0
+    assert all(len(set(gens)) == len(gens) for gens in seen)
+    assert len({frozenset(gens) for gens in seen}) == len(seen) < 8
+
+
+def test_oracle_compares_every_engine_value(monkeypatch):
+    ideal = load_problem(path("regular2.json")).ideal("a")
+    calls = []
+    monkeypatch.setattr(cli, "colength_bruteforce", lambda ring, gens: calls.append(gens) or 4)
+    memo = {}
+    assert cli._oracle_check("a", ideal, 4, memo) == 4
+    with pytest.raises(InternalError, match="engine 5, oracle 4"):
+        cli._oracle_check("a again", ideal, 5, memo)
+    assert len(calls) == 1
 
 
 def test_uncertified_oracle_is_a_resource_cap(capsys, monkeypatch):

@@ -21,7 +21,9 @@ must pop the same pairs and charge the same terms.
 ``reference_invariant_basis`` runs the pivot loop on orbit sums grown one
 variable at a time; the Kronecker kernel behind ``reynolds`` and
 ``invariant_basis`` must give identical polynomials, on the fixed groups and
-on densely conjugated ones over primes up to 2^31 - 1.
+on densely conjugated ones over primes up to 2^31 - 1.  The Molien counts
+must equal the ranks the reference pivot loop finds, and Faddeev-LeVerrier
+the principal-minor sums ``reference_elementary``.
 The packed-monomial operations of ``PolyRing`` must agree with their
 definitions on exponent tuples, and reduced bases with sympy's, when sympy
 is installed.  ``reference_count_standard`` is the split-and-minimalize
@@ -32,7 +34,7 @@ import heapq
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hkforge import groebner
@@ -47,7 +49,13 @@ from hkforge.groebner import (
     s_polynomial,
 )
 from hkforge.ideals import Ideal
-from hkforge.invariants import group_closure, invariant_basis, reynolds
+from hkforge.invariants import (
+    _elementary,
+    _invariant_counts,
+    group_closure,
+    invariant_basis,
+    reynolds,
+)
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
 from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
 
@@ -877,3 +885,124 @@ def test_staircase_sweep_matches_split_recursion_and_box_count(exps):
     expected = box_count(exps)
     assert reference_count_standard(_minimalize(set(exps)), n, {}) == expected
     assert _staircase_count(exps) == expected
+
+
+def reference_determinant(a):
+    """Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * reference_determinant([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def reference_elementary(a):
+    """e_k as the sum of the k x k principal minors."""
+    n = len(a)
+    return [
+        sum(
+            reference_determinant([[a[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(n), k)
+        )
+        for k in range(1, n + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+))
+def test_faddeev_leverrier_is_the_principal_minor_sums(a):
+    assert _elementary(tuple(map(tuple, a))) == reference_elementary(a)
+
+
+COUNT_PRIMES = (2, 3, 5, 7, 13)
+MAX_COUNTED_ORDER = 120
+
+
+def _power(p, a, e):
+    result = _identity(len(a))
+    for _ in range(e):
+        result = _mat_mul(p, result, a)
+    return result
+
+
+def _order(p, a):
+    """Multiplicative order of an invertible matrix mod p."""
+    power, k = [list(row) for row in a], 1
+    while power != _identity(len(a)):
+        power, k = _mat_mul(p, power, a), k + 1
+    return k
+
+
+def _small_prime_to_p_power(draw, p, a):
+    """A power of a whose order is prime to p and at most MAX_COUNTED_ORDER:
+    a^(p^s m / t) for a divisor t of m, where a has order p^s m, p not | m."""
+    order = _order(p, a)
+    wild = 1
+    while order % (wild * p) == 0:
+        wild *= p
+    tame = order // wild
+    orders = [t for t in range(min(tame, MAX_COUNTED_ORDER), 0, -1) if tame % t == 0]
+    t = draw(st.sampled_from(orders))
+    return _power(p, _power(p, a, wild), tame // t)
+
+
+@st.composite
+def counted_groups(draw):
+    """(p, generators) of a group of order at most MAX_COUNTED_ORDER and
+    prime to p, from one or two generators.  Each is the identity, a scalar,
+    a monomial matrix or a random invertible matrix, replaced by a power of
+    order prime to p; the monomial ones share one random change of
+    coordinates, so two of them often make a small nonabelian group, and
+    random ones often have eigenvalues outside F_p.  When two generators
+    make a group that is too large or has order divisible by p, the first
+    one alone stands in."""
+    p = draw(st.sampled_from(COUNT_PRIMES))
+    n = draw(st.integers(1, 3))
+    units = st.integers(1, p - 1)
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    change = [[1 if i == j else entries[i * n + j] * (j < i) for j in range(n)] for i in range(n)]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("monomial", "random", "scalar", "identity")))
+        if kind == "identity":
+            a = _identity(n)
+        elif kind == "scalar":
+            c = draw(units)
+            a = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        elif kind == "monomial":
+            perm = draw(st.permutations(range(n)))
+            monomial = [[draw(units) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            a = conjugated(p, [monomial], change)[0]
+        else:
+            # Lower unitriangular times upper triangular with a nonzero
+            # diagonal: invertible, and dense.
+            a = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+            lower = [[1 if i == j else a[i * n + j] * (j < i) for j in range(n)] for i in range(n)]
+            upper = [[max(a[i * n + j], 1) if i == j else a[i * n + j] * (j > i) for j in range(n)]
+                     for i in range(n)]
+            a = _mat_mul(p, lower, upper)
+        gens.append(_small_prime_to_p_power(draw, p, a))
+    try:
+        group_closure(p, gens, cap=MAX_COUNTED_ORDER)
+    except (ModularCase, ResourceCap):
+        gens = gens[:1]
+    return p, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_groups())
+@example((2, [_identity(3)]))  # the trivial group, p <= n
+@example((3, [[[2, 0, 0], [0, 2, 0], [0, 0, 2]]]))  # -I, p <= n
+@example((7, [[[3, 0], [0, 3]]]))  # scalars of order 6
+@example((7, [[[0, 6], [1, 0]]]))  # order 4, eigenvalues outside F_7
+def test_molien_counts_are_the_reynolds_ranks(group):
+    p, gens = group
+    G = group_closure(p, gens)
+    R = PolyRing(p, NAMES[: G.n])
+    top = 7 if G.order <= 40 else 4
+    ranks = reference_invariant_basis(R, G, top)
+    assert _invariant_counts(G, top) == [1] + [len(ranks[d]) for d in range(1, top + 1)]

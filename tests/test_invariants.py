@@ -1,9 +1,14 @@
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import hkforge.cli as cli
+from hkforge import invariants
 from hkforge.errors import (
+    InternalError,
     ModularCase,
     PreconditionViolated,
     ResourceCap,
@@ -17,6 +22,13 @@ from hkforge.invariants import (
     reynolds,
 )
 from hkforge.poly import PolyRing, monomials_of_degree
+from hkforge.problem import load_problem
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GROUP_FILES = sorted(
+    path for path in glob.glob(os.path.join(ROOT, "problems", "*.json"))
+    if load_problem(path).group is not None
+)
 
 MINUS_I = [[4, 0], [0, 4]]
 MINUS_I_F7 = [[6, 0], [0, 6]]
@@ -212,3 +224,57 @@ def test_mismatched_spaces_rejected():
         noether_ideal(R3, G)
     with pytest.raises(PreconditionViolated):
         reynolds(R3.variable(0), G)
+
+
+def _images_needed(ring, G, d, orbit_sums):
+    """How many of degree d's Reynolds images the pivot loop needs: up to
+    the last one that adds a pivot, and 0 when none does."""
+    rows = [[(e, 1)] for e in monomials_of_degree(ring.n, d)]
+    pivots, needed = {}, 0
+    for k, image in enumerate(orbit_sums(ring, G, d, rows), 1):
+        g = ring._from_dict(image)
+        while not g.is_zero() and g.leading_monomial() in pivots:
+            g = g - pivots[g.leading_monomial()] * g.leading_coefficient()
+        if not g.is_zero():
+            pivots[g.leading_monomial()] = g.monic()
+            needed = k
+    return needed
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_each_degree_pulls_images_up_to_its_last_pivot(path, monkeypatch):
+    problem = load_problem(path)
+    G = group_closure(problem.ring.p, problem.group)
+    original = invariants._orbit_sums
+    pulled = {}
+
+    def spy(ring, group, d, rows):
+        pulled[d] = 0
+        for image in original(ring, group, d, rows):
+            pulled[d] += 1
+            yield image
+
+    monkeypatch.setattr(invariants, "_orbit_sums", spy)
+    result = noether_ideal(problem.ring, G)
+    for d in range(1, result.d_stop + 1):
+        needed = _images_needed(problem.ring, G, d, original)
+        # A degree with no invariants never calls _orbit_sums.
+        assert pulled.get(d, 0) == needed and (d in pulled) == (needed > 0), d
+
+
+def test_a_count_above_the_reynolds_rank_is_an_internal_error(monkeypatch, capsys):
+    counts = invariants._invariant_counts
+
+    def one_too_many(G, top):
+        out = counts(G, top)
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(invariants, "_invariant_counts", one_too_many)
+    R = PolyRing(5, ("x", "y"))
+    with pytest.raises(InternalError, match="degree 2"):
+        invariant_basis(R, group_closure(5, [MINUS_I]), 2)
+    assert invariant_basis(R, group_closure(5, [MINUS_I]), 4)
+    code = cli.main(["invariant", "--in", os.path.join(ROOT, "problems", "order2.json")])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == "" and "degree 2" in err

@@ -149,6 +149,28 @@ def test_frobenius_power_definition_and_validation():
         f.frobenius_power(5**7)
 
 
+def test_power_of_one_term_scales_its_monomial():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    term = 3 * x**2 * y
+    product = R.one()
+    for e in range(12):
+        assert term**e == product
+        product = product * term
+    assert (2 * x) ** 25 == R.monomial((25, 0), pow(2, 25, 5))
+    assert R.constant(3) ** 4 == R.constant(81)
+    # Too wide: the ResourceCap that the repeated products raise.
+    big = x ** (R.max_degree // 2)
+    with pytest.raises(ResourceCap, match="too wide") as single:
+        big**3
+    with pytest.raises(ResourceCap) as general:
+        big * big * big
+    assert str(single.value) == str(general.value)
+    assert x**R.max_degree == R.monomial((R.max_degree, 0))
+    with pytest.raises(ResourceCap, match="too wide"):
+        y ** (R.max_degree + 1)
+
+
 def test_frobenius_power_is_the_pth_power():
     rng = random.Random(42)
     for p in (2, 3, 5):

@@ -99,7 +99,6 @@ def test_nonprime_p_rejected(capsys, tmp_path):
     for p, message in [
         ("6", "modulus 6 is not prime"),
         ("1", "modulus 1 is not prime"),
-        ("true", "modulus True is not prime"),
         ("2147483659", "modulus 2147483659 exceeds 2^31"),
     ]:
         path = tmp_path / "bad_p.json"
@@ -107,6 +106,12 @@ def test_nonprime_p_rejected(capsys, tmp_path):
         code = cli.main(["colength", "--in", str(path), "--ideal", "I"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message}\n"), p
+    # A JSON boolean is a malformed shape, like "5" and 5.0: exit 3.
+    for p in ("true", '"5"', "5.0"):
+        path.write_text(f'{{"p": {p}, "vars": ["x"], "ideals": {{"I": ["x"]}}}}')
+        code = cli.main(["colength", "--in", str(path), "--ideal", "I"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (3, "", "error: 'p' must be an integer prime\n"), p
 
 
 def test_parse_errors_surface_with_ideal_context():
