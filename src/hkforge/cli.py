@@ -87,13 +87,16 @@ def _load(args) -> ProblemFile:
 
 
 def _cmd_gb(args) -> None:
-    problem = _load(args)
-    order = MonomialOrder.parse(args.order) if args.order else problem.ring.order
-    basis = problem.ideal(args.ideal).groebner(order)
+    ideal = _load(args).ideal(args.ideal)
+    if args.order:
+        ring = ideal.ring.with_order(MonomialOrder.parse(args.order))
+        basis = groebner.buchberger(ring, [ring.convert(g) for g in ideal.lift_gens])
+    else:
+        basis = ideal.groebner()
     _emit_json(
         {
             "basis": [str(g) for g in basis.basis],
-            "order": order.name,
+            "order": basis.ring.order.name,
             "reduced": True,
         }
     )
@@ -243,7 +246,7 @@ def _cmd_reciprocity(args) -> None:
 
 def _cmd_parity(args) -> None:
     problem = _load(args)
-    report = gorenstein_parity_check(problem.presentation, problem.ideal(args.ideal))
+    report = gorenstein_parity_check(problem.ideal(args.ideal))
     _emit_json(
         {
             "self_linked": report.self_linked,

@@ -1,13 +1,14 @@
 """Ideal-level calculus and complete-intersection quotient presentations.
 
 One class, `Ideal`, covers ideals of S and of a quotient R = S/C.  An ideal
-of R is its own generators plus the `QuotientPresentation` it lives over
-(None for S itself); it is never reduced mod C.  Every query (Groebner
-basis, membership, equality, colength, dimension) runs on its lift, the
-generators followed by the relations of C, which is exact for the m-primary
-ideals this package accepts.  A bracket power raises only the generators, so
-C stays un-bracketed, and a colon comes back over the presentation of the
-dividend.  `intersect` returns an ideal of S.
+of R is its own generators plus the `QuotientPresentation` it lives over;
+S itself is the presentation with no relations.  An ideal is never reduced
+mod C.  Every query (Groebner basis, membership, equality, colength,
+dimension) runs on its lift, the generators followed by the relations of C,
+which is exact for the m-primary ideals this package accepts.  A bracket
+power raises only the generators, so C stays un-bracketed, and a colon comes
+back over the presentation of the dividend.  `intersect` returns an ideal
+over S.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .poly import MonomialOrder, Polynomial, PolyRing
 
 
 class Ideal:
-    """An ideal of S, or of R = S/C over `presentation`, with a per-order
-    Groebner cache of its lift.  It keeps no other state: an ideal built
-    twice is two objects, and a caller that wants one basis shares the
-    object."""
+    """An ideal of R = S/C over `presentation` (by default S, with no
+    relations), with one Groebner basis of its lift, in the ring's order.
+    It keeps no other state: an ideal built twice is two objects, and a
+    caller that wants one basis shares the object."""
 
-    __slots__ = ("ring", "gens", "presentation", "_cache")
+    __slots__ = ("ring", "gens", "presentation", "_basis")
 
     def __init__(
         self,
@@ -38,8 +39,10 @@ class Ideal:
             ring.check_same(g.ring)
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
-        self.presentation = presentation
-        self._cache: dict[MonomialOrder, GroebnerBasis] = {}
+        self.presentation = (
+            presentation if presentation is not None else QuotientPresentation(ring)
+        )
+        self._basis: Optional[GroebnerBasis] = None
 
     @classmethod
     def of(cls, *gens: Polynomial) -> "Ideal":
@@ -53,25 +56,17 @@ class Ideal:
     @property
     def lift_gens(self) -> tuple[Polynomial, ...]:
         """Generators of the preimage in S: own generators, then C."""
-        if self.presentation is None:
-            return self.gens
         return self.gens + self.presentation.ci_gens
 
-    def groebner(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-        order = order if order is not None else self.ring.order
-        cached = self._cache.get(order)
-        if cached is not None:
-            return cached
-        ring = self.ring.with_order(order)
-        basis = buchberger(ring, [ring.convert(g) for g in self.lift_gens])
-        self._cache[order] = basis
-        return basis
+    def groebner(self) -> GroebnerBasis:
+        if self._basis is None:
+            self._basis = buchberger(self.ring, self.lift_gens)
+        return self._basis
 
     # -- boolean queries ------------------------------------------------------
 
     def contains(self, f: Polynomial) -> bool:
-        G = self.groebner()
-        return G.contains(G.ring.convert(f))
+        return self.groebner().contains(f)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -111,7 +106,7 @@ class Ideal:
         return Ideal(self.ring, gens, self.presentation)
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Lift of I cap lift of J, an ideal of S: eliminate t from
+        """Lift of I cap lift of J, an ideal over S: eliminate t from
         t*I + (1-t)*J in S[t] under elim(1).  The t-free part of that basis
         generates the intersection and, for every order of the ring, is its
         reduced basis under grevlex, converted to the ring's order.
@@ -150,7 +145,7 @@ class Ideal:
         generator g in I has (I : (g)) = (1), the identity for the
         intersection, so it is skipped; when every g is in I the colon is (1).
         A J with a nonzero constant among its generators is (1), and
-        (I : (1)) = I, so then I itself comes back, basis cache and all, with
+        (I : (1)) = I, so then I itself comes back, basis and all, with
         no membership test and no elimination.
         """
         self.ring.check_same(other.ring)

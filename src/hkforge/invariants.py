@@ -123,24 +123,6 @@ def _mat_mul(p: int, a: Matrix, b: Matrix) -> Matrix:
     return tuple([tuple([sum(map(mul, row, col)) % p for col in columns]) for row in a])
 
 
-def _is_invertible(p: int, m: Matrix) -> bool:
-    """Gaussian elimination over F_p; singular matrices have no group action."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, p)
-        rows[col] = [a * inv % p for a in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[col])]
-    return True
-
-
 def _mat_pow(q: int, a: Matrix, e: int) -> Matrix:
     """a^e mod q by squaring; a^0 is the identity."""
     n = len(a)
@@ -233,7 +215,8 @@ def group_closure(
     n = len(gens[0])
     mats = [_normalize_matrix(p, g, n) for g in gens]
     for m in mats:
-        if not _is_invertible(p, m):
+        # e_n of the eigenvalues is det(m) over Z.
+        if _elementary(m)[-1] % p == 0:
             raise PreconditionViolated(f"matrix {m} is singular over F_{p}")
     identity = tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)

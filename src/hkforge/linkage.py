@@ -56,21 +56,10 @@ class LinkageDatum:
         return self.I.equals(self.J)
 
 
-def _presentation(ideal: Ideal, name: str) -> QuotientPresentation:
-    """The presentation R = S/C that ideal lives over; an ideal of S alone
-    has none, and linkage and Hilbert-Kunz lengths are taken over R."""
-    if ideal.presentation is None:
-        raise PreconditionViolated(
-            f"{name} = {ideal!r} has no quotient presentation R = S/C"
-        )
-    return ideal.presentation
-
-
 def link(I: Ideal, a: Ideal) -> LinkageDatum:
     """J = (a : I), irredundant over R (see the module docstring), with
     every linkage precondition and (a : J) = I checked."""
-    P = _presentation(I, "I")
-    Q = _presentation(a, "a")
+    P, Q = I.presentation, a.presentation
     if Q.ring != P.ring or Q.ci_gens != P.ci_gens:
         raise PreconditionViolated("I and a live over different presentations")
     if not P.is_full_ci(a):
@@ -208,7 +197,7 @@ class ReciprocityReport:
 
 def hk_table(I: Ideal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
     """Rows (n, q, colength of I^[q], colength/q^dim) for n = 0..n_max."""
-    P = _presentation(I, "I")
+    P = I.presentation
     if n_max < 0:
         raise PreconditionViolated("n_max must be >= 0")
     if not I.is_m_primary():
@@ -238,7 +227,7 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     recorded, not enforced: its failure is exactly the
     infinite-projective-dimension signal.
     """
-    P = _presentation(I, "I")
+    P = I.presentation
     if P.dim < 1:
         raise PreconditionViolated("reciprocity needs a positive-dimensional ring")
     if n_max < 0:
@@ -268,19 +257,22 @@ class ParityReport:
     total_length: int
 
 
-def gorenstein_parity_check(P: QuotientPresentation, I: Ideal) -> ParityReport:
-    """Over a zero-dimensional CI quotient: if (0 : I) = I then len(R) is even.
+def gorenstein_parity_check(I: Ideal) -> ParityReport:
+    """Over I's zero-dimensional CI quotient R: if (0 : I) = I then len(R) is
+    even.
 
     A non-self-linked I is reported, not errored; an odd length for a
     self-linked I contradicts the duality pairing len(R) = 2*len(R/I) and
-    raises IdentityViolation.
+    raises IdentityViolation.  The zero ideal is built once, so its basis
+    gives len(R) and answers the colon's membership tests.
     """
-    if P.dim != 0:
+    if I.presentation.dim != 0:
         raise PreconditionViolated("parity check needs a zero-dimensional ring")
-    total = P.zero_ideal().colength()
+    zero = I.presentation.zero_ideal()
+    total = zero.colength()
     if total == INFINITE:
         raise PreconditionViolated("quotient ring is not finite length")
-    annihilator = P.zero_ideal().colon(I)
+    annihilator = zero.colon(I)
     self_linked = annihilator.equals(I)
     if self_linked and total % 2 != 0:
         raise IdentityViolation(

@@ -28,7 +28,7 @@ from .ideals import Ideal, QuotientPresentation
 from .parsing import parse_polynomial
 from .poly import MonomialOrder, PolyRing
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KNOWN_KEYS = {"p", "vars", "order", "quotient", "ideals", "group"}
 
 
@@ -61,7 +61,7 @@ def problem_from_dict(data) -> ProblemFile:
     if (
         not isinstance(names, list)
         or not names
-        or not all(isinstance(v, str) and _NAME_RE.match(v) for v in names)
+        or not all(isinstance(v, str) and _NAME_RE.fullmatch(v) for v in names)
     ):
         raise ParseError("'vars' must be a nonempty list of identifiers")
 

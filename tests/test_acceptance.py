@@ -251,7 +251,7 @@ def test_criterion_08_squares_lengths_and_parity():
     R1 = PolyRing(5, ("x",))
     x = R1.variable(0)
     P1 = QuotientPresentation(R1, [x**2])
-    report = gorenstein_parity_check(P1, P1.ideal([x]))
+    report = gorenstein_parity_check(P1.ideal([x]))
     assert report.self_linked and report.even_certified
     assert report.total_length == 2
 
@@ -259,7 +259,7 @@ def test_criterion_08_squares_lengths_and_parity():
     R5 = PolyRing(5, ("x1", "x2"))
     b1, b2 = R5.variable(0), R5.variable(1)
     P5 = QuotientPresentation(R5, [b1**2 - b2**2, b1 * b2])
-    report = gorenstein_parity_check(P5, P5.ideal([b1 + 2 * b2]))
+    report = gorenstein_parity_check(P5.ideal([b1 + 2 * b2]))
     assert report.self_linked and report.even_certified
     assert report.total_length == 4
 

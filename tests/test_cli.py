@@ -39,6 +39,27 @@ def test_gb(capsys):
     assert payload["basis"] == ["x + y", "y^2"]
 
 
+# Recorded stdout of `gb --order`: the command, not the ideal, builds the
+# basis in an order other than the ring's.
+GB_ORDER_STDOUT = {
+    ("ops.json", "mixed", "lex"):
+        '{\n  "basis": [\n    "x + y",\n    "y^2"\n  ],\n  "order": "lex",\n'
+        '  "reduced": true\n}\n',
+    ("ops.json", "mixed", "elim(1)"):
+        '{\n  "basis": [\n    "x + y",\n    "y^2"\n  ],\n  "order": "elim(1)",\n'
+        '  "reduced": true\n}\n',
+    ("sphere.json", "I", "elim(2)"):
+        '{\n  "basis": [\n    "x^2",\n    "y",\n    "z"\n  ],\n  "order": "elim(2)",\n'
+        '  "reduced": true\n}\n',
+}
+
+
+@pytest.mark.parametrize("problem, ideal, order", sorted(GB_ORDER_STDOUT))
+def test_gb_in_another_order_prints_recorded_bytes(capsys, problem, ideal, order):
+    code, out = run(capsys, "gb", "--in", path(problem), "--ideal", ideal, "--order", order)
+    assert (code, out) == (0, GB_ORDER_STDOUT[problem, ideal, order])
+
+
 def test_colength_and_oracle(capsys):
     payload = run_json(
         capsys, "colength", "--in", path("regular2.json"), "--ideal", "a", "--oracle"

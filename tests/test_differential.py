@@ -23,7 +23,9 @@ variable at a time; the Kronecker kernel behind ``reynolds`` and
 ``invariant_basis`` must give identical polynomials, on the fixed groups and
 on densely conjugated ones over primes up to 2^31 - 1.  The Molien counts
 must equal the ranks the reference pivot loop finds, and Faddeev-LeVerrier
-the principal-minor sums ``reference_elementary``.
+the principal-minor sums ``reference_elementary``.  ``group_closure`` must
+reject as singular exactly the generators that the Gaussian elimination
+``reference_is_invertible`` finds singular over F_p.
 The packed-monomial operations of ``PolyRing`` must agree with their
 definitions on exponent tuples, and reduced bases with sympy's, when sympy
 is installed.  ``reference_count_standard`` is the split-and-minimalize
@@ -38,7 +40,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hkforge import groebner
-from hkforge.errors import ModularCase, ResourceCap
+from hkforge.errors import ModularCase, PreconditionViolated, ResourceCap
 from hkforge.groebner import (
     _Budget,
     _interreduce,
@@ -920,6 +922,57 @@ def test_faddeev_leverrier_is_the_principal_minor_sums(a):
 
 COUNT_PRIMES = (2, 3, 5, 7, 13)
 MAX_COUNTED_ORDER = 120
+
+
+def reference_is_invertible(p, m):
+    """Gaussian elimination over F_p."""
+    n = len(m)
+    rows = [[a % p for a in row] for row in m]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [a * inv % p for a in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[col])]
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COUNT_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ),
+)))
+# Singular mod p though det = p over Z, as given or once reduced mod p.
+@example((2, [[1, 1], [1, 3]]))
+@example((3, [[2, 1], [1, 2]]))
+@example((5, [[2, 1], [1, 3]]))
+@example((5, [[7, 2], [1, 1]]))
+@example((5, [[7, 1], [-4, 3]]))
+@example((7, [[2, 1], [1, 4]]))
+@example((13, [[2, 1, 0], [1, 7, 0], [0, 0, 1]]))
+def test_group_closure_rejects_the_generators_gaussian_elimination_finds_singular(case):
+    p, m = case
+    # cap=1 stops the closure at its first new element, after the check.
+    try:
+        group_closure(p, [m], cap=1)
+        outcome = None
+    except PreconditionViolated as exc:
+        outcome = str(exc)
+    except ResourceCap:
+        outcome = None
+    normalized = tuple(tuple(a % p for a in row) for row in m)
+    if reference_is_invertible(p, m):
+        assert outcome is None
+    else:
+        assert outcome == f"matrix {normalized} is singular over F_{p}"
 
 
 def _power(p, a, e):

@@ -5,7 +5,7 @@ import pytest
 
 from hkforge import ideals
 from hkforge.errors import EmptyVariety, InternalError, PreconditionViolated
-from hkforge.groebner import INFINITE
+from hkforge.groebner import INFINITE, buchberger
 from hkforge.ideals import Ideal, QuotientPresentation, _exact_divide
 from hkforge.oracle import MacaulayFrame
 from hkforge.parsing import parse_polynomial
@@ -162,13 +162,15 @@ def test_m_primary_and_dim():
     assert Ideal.of(x).krull_dim() == 1
 
 
-def test_gb_cache_is_consistent_across_orders():
+def test_cached_basis_and_a_lex_basis_generate_one_ideal():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
     I = Ideal.of(x**2 - y, y**2 - x)
     g_grevlex = I.groebner()
-    g_lex = I.groebner(MonomialOrder.lex())
     assert g_grevlex is I.groebner()  # cached object comes back
+    assert g_grevlex.ring is R
+    lex = R.with_order(MonomialOrder.lex())
+    g_lex = buchberger(lex, [lex.convert(g) for g in I.lift_gens])
     # both bases generate the same ideal: mutual membership of generators
     for g in g_grevlex.basis:
         assert g_lex.contains(g_lex.ring.convert(g))
@@ -301,6 +303,18 @@ def test_colon_result_is_not_run_through_buchberger_twice(
         for earlier_ring, _, basis in calls[:k]:
             if earlier_ring == ring:
                 assert gens != basis + P.ci_gens
+
+
+def test_ideals_of_s_live_over_the_presentation_with_no_relations():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    S = Ideal.of(x).presentation
+    assert S.ring is R and S.ci_gens == () and S.dim == R.n
+    assert Ideal(R, [y]).presentation.ci_gens == ()
+    node = QuotientPresentation(R, [x * y])
+    meet = node.ideal([x]).intersect(node.ideal([y]))
+    assert meet.presentation.ci_gens == () and meet.presentation.dim == 2
+    assert meet.lift_gens == meet.gens
 
 
 def test_zero_ideal_of_presentation():

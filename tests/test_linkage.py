@@ -111,20 +111,39 @@ def test_link_preconditions():
         link(P.ideal([x]), P.ideal([x**2, y**2]))  # a not inside I either
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda I, a: link(I, a),
-        lambda I, a: hk_table(I, 1),
-        lambda I, a: reciprocity_report(I, a, 1),
-    ],
-    ids=["link", "hk_table", "reciprocity_report"],
-)
-def test_ideals_of_s_have_no_presentation(call):
+def run_json(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_ideals_of_s_give_the_cli_rows_of_regular2(capsys):
+    # Ideal.of builds ideals over S, the presentation with no relations, which
+    # is what regular2.json declares; Smith's polynomial-ring reciprocity
+    # leaves no deviation at any q.
+    path = os.path.join(PROBLEMS, "regular2.json")
     R = PolyRing(5, ("x", "y"))
     x, y = R.variable(0), R.variable(1)
-    with pytest.raises(PreconditionViolated, match="no quotient presentation"):
-        call(Ideal.of(x, y), Ideal.of(x + y, x - y))
+    I, a = Ideal.of(x, y), Ideal.of(x**2, y**2)
+
+    table = hk_table(I, 2)
+    assert [length for _, _, length, _ in table] == [1, 25, 625]
+    rows = run_json(capsys, "hk", "--in", path, "--ideal", "I", "--nmax", "2")["rows"]
+    assert [(n, q, length) for n, q, length, _ in table] == [
+        (r["n"], r["q"], r["length"]) for r in rows
+    ]
+
+    J = run_json(capsys, "link", "--in", path, "--ideal", "I", "--ci", "a")["J"]
+    assert link(I, a).J.reduced_generators() == J
+
+    report = reciprocity_report(I, a, 2)
+    lengths = [(r.len_i, r.len_j, r.len_a, r.len_corner) for r in report.rows]
+    assert lengths == [(1, 3, 4, 1), (25, 75, 100, 25), (625, 1875, 2500, 625)]
+    rows = run_json(
+        capsys, "reciprocity", "--in", path, "--ideal", "I", "--ci", "a", "--nmax", "2"
+    )["rows"]
+    assert lengths == [(r["len_I"], r["len_J"], r["len_a"], r["len_corner"]) for r in rows]
+    assert all(r.deviation == 0 and r.smith_ok for r in report.rows)
+    assert report.reciprocity_all_q and report.pd_probe == FINITE
 
 
 def test_corner_power_examples():
@@ -522,21 +541,21 @@ def test_parity_examples():
     R1 = PolyRing(5, ("x",))
     x = R1.variable(0)
     P = QuotientPresentation(R1, [x**2])
-    report = gorenstein_parity_check(P, P.ideal([x]))
+    report = gorenstein_parity_check(P.ideal([x]))
     assert report.self_linked and report.even_certified
     assert report.total_length == 2
 
     R2 = PolyRing(5, ("x", "y"))
     x2, y2 = R2.variable(0), R2.variable(1)
     P2 = QuotientPresentation(R2, [x2**2, y2**2])
-    report = gorenstein_parity_check(P2, P2.ideal([x2 * y2]))
+    report = gorenstein_parity_check(P2.ideal([x2 * y2]))
     assert not report.self_linked and not report.even_certified
     assert report.total_length == 4
 
     R7 = PolyRing(7, ("x1", "x2"))
     a1, a2 = R7.variable(0), R7.variable(1)
     P7 = QuotientPresentation(R7, [a1**2 - a2**2, a1 * a2])
-    report = gorenstein_parity_check(P7, P7.ideal([a1 + 3 * a2]))
+    report = gorenstein_parity_check(P7.ideal([a1 + 3 * a2]))
     assert report.total_length == 4  # n + 2 for n = 2
 
 
@@ -545,16 +564,34 @@ def test_parity_self_linked_witness_mod5():
     R = PolyRing(5, ("x1", "x2"))
     a1, a2 = R.variable(0), R.variable(1)
     P = QuotientPresentation(R, [a1**2 - a2**2, a1 * a2])
-    report = gorenstein_parity_check(P, P.ideal([a1 + 2 * a2]))
+    report = gorenstein_parity_check(P.ideal([a1 + 2 * a2]))
     assert report.self_linked and report.even_certified
     assert report.total_length == 4
+
+
+def test_parity_runs_buchberger_on_c_twice(monkeypatch, capsys):
+    # Once for the complete-intersection check, once for the zero ideal,
+    # whose basis then answers the colon's membership tests too.
+    path = os.path.join(PROBLEMS, "dualnumbers.json")
+    C = load_problem(path).presentation.ci_gens
+    runs = []
+    buchberger = ideals.buchberger
+
+    def spy(ring, gens):
+        runs.append(tuple(gens))
+        return buchberger(ring, gens)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    report = run_json(capsys, "parity", "--in", path, "--ideal", "I")
+    assert report["self_linked"] and report["total_length"] == 2
+    assert runs.count(C) == 2
 
 
 def test_parity_requires_dimension_zero():
     R = PolyRing(5, ("x", "y"))
     P = QuotientPresentation(R, [R.variable(0) * R.variable(1)])
     with pytest.raises(PreconditionViolated):
-        gorenstein_parity_check(P, P.ideal([R.variable(0)]))
+        gorenstein_parity_check(P.ideal([R.variable(0)]))
 
 
 def test_identity_violation_names_exit_five():

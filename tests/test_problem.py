@@ -72,6 +72,7 @@ def test_non_ci_quotient_rejected():
         {"p": 5},
         {"p": 5, "vars": []},
         {"p": 5, "vars": ["x", "2bad"]},
+        {"p": 5, "vars": ["x\n", "y"]},
         {"p": 5, "vars": "xy"},
         {"p": 5, "vars": ["x"], "order": 3},
         {"p": 5, "vars": ["x"], "order": "mystery"},
@@ -112,6 +113,17 @@ def test_nonprime_p_rejected(capsys, tmp_path):
         code = cli.main(["colength", "--in", str(path), "--ideal", "I"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (3, "", "error: 'p' must be an integer prime\n"), p
+
+
+def test_variable_name_with_a_trailing_newline_exits_3(capsys, tmp_path):
+    # No polynomial can name "x\n", and a basis printed over it would carry
+    # a raw newline.
+    path = tmp_path / "newline_var.json"
+    path.write_text(json.dumps({"p": 5, "vars": ["x\n", "y"], "ideals": {"I": ["y^2"]}}))
+    code = cli.main(["colength", "--in", str(path), "--ideal", "I"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: 'vars' must be a nonempty list of identifiers\n"
 
 
 def test_parse_errors_surface_with_ideal_context():
