@@ -18,7 +18,7 @@ from typing import Optional
 from . import groebner
 from .errors import HKForgeError, InternalError, PreconditionViolated, ResourceCap
 from .groebner import INFINITE
-from .invariants import group_closure, noether_bound_value, noether_ideal
+from .invariants import MAX_GROUP, group_closure, noether_bound_value, noether_ideal
 from .linkage import (
     corner_power,
     gorenstein_parity_check,
@@ -250,7 +250,7 @@ def _cmd_parity(args) -> None:
     _emit_json(
         {
             "self_linked": report.self_linked,
-            "even_certified": report.even_certified,
+            "even_certified": report.self_linked,
             "total_length": report.total_length,
         }
     )
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("invariant", help="invariant ideal and its multiplicity")
     _add_common(s)
-    s.add_argument("--max-group", type=int, default=None)
+    s.add_argument("--max-group", type=int, default=MAX_GROUP)
     s.set_defaults(func=_cmd_invariant)
 
     s = sub.add_parser("bound", help="multiplicity bounds from n and |G|")
@@ -383,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    groebner.configure_caps(
-        getattr(args, "max_pairs", None), getattr(args, "max_terms", None)
-    )
+    saved = groebner.MAX_PAIRS, groebner.MAX_TERMS
+    if getattr(args, "max_pairs", None) is not None:
+        groebner.MAX_PAIRS = args.max_pairs
+    if getattr(args, "max_terms", None) is not None:
+        groebner.MAX_TERMS = args.max_terms
     try:
         args.func(args)
         return 0
@@ -393,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     finally:
-        groebner.configure_caps(None, None)
+        groebner.MAX_PAIRS, groebner.MAX_TERMS = saved
 
 
 if __name__ == "__main__":

@@ -33,54 +33,26 @@ remains for ``verify`` and callers outside.  Monomials are the ring's packed
 ints (see ``poly``): a product is one ``+``, a divisibility test one
 subtraction and mask.  The colength sweeps the leading exponent tuples
 along the last variable, one slice per breakpoint (``_staircase_count``).
+
+Every ``buchberger`` run has two budgets, the module constants
+``MAX_PAIRS`` (pairs reduced) and ``MAX_TERMS`` (terms charged by its
+reductions), read when the run starts; the CLI's ``--max-pairs`` and
+``--max-terms`` rebind them for one command.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .errors import EmptyVariety, PreconditionViolated, ResourceCap, RingMismatch
+from .errors import EmptyVariety, ResourceCap, RingMismatch
 from .poly import Exponents, Polynomial, PolyRing
 
-DEFAULT_MAX_PAIRS = 50_000
-DEFAULT_MAX_TERMS = 1_000_000
+MAX_PAIRS = 50_000
+MAX_TERMS = 1_000_000
 
 INFINITE = float("inf")
-
-_cap_overrides: dict[str, Optional[int]] = {"pairs": None, "terms": None}
-
-
-def configure_caps(max_pairs: Optional[int] = None, max_terms: Optional[int] = None):
-    """Process-wide cap overrides, used by the CLI flags."""
-    _cap_overrides["pairs"] = max_pairs
-    _cap_overrides["terms"] = max_terms
-
-
-def env_int(name: str, default: int) -> int:
-    """An integer setting from the environment, default when unset;
-    PreconditionViolated naming the variable when it is not an integer."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise PreconditionViolated(f"{name} must be an integer, not {text!r}") from None
-
-
-def default_max_pairs() -> int:
-    if _cap_overrides["pairs"] is not None:
-        return _cap_overrides["pairs"]
-    return env_int("HKFORGE_MAX_PAIRS", DEFAULT_MAX_PAIRS)
-
-
-def default_max_terms() -> int:
-    if _cap_overrides["terms"] is not None:
-        return _cap_overrides["terms"]
-    return DEFAULT_MAX_TERMS
 
 
 class _Budget:
@@ -239,24 +211,16 @@ def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> tuple[Polynomial, .
     return tuple(reduced)
 
 
-def buchberger(
-    ring: PolyRing,
-    gens: Sequence[Polynomial],
-    max_pairs: Optional[int] = None,
-    max_terms: Optional[int] = None,
-) -> "GroebnerBasis":
+def buchberger(ring: PolyRing, gens: Sequence[Polynomial]) -> "GroebnerBasis":
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Budget overruns (reduced pairs past max_pairs, or reduction work past
-    max_terms) raise ResourceCap rather than hang.
+    Budget overruns (reduced pairs past ``MAX_PAIRS``, or reduction work
+    past ``MAX_TERMS`` terms) raise ResourceCap rather than hang.
     """
-    if max_pairs is None:
-        max_pairs = default_max_pairs()
-    if max_terms is None:
-        max_terms = default_max_terms()
     for g in gens:
         ring.check_same(g.ring)
-    budget = _Budget(max_terms)
+    max_pairs = MAX_PAIRS
+    budget = _Budget(MAX_TERMS)
     lcm, guard = ring.lcm, ring.guard
     # For the lcm-free B_k test: a field's guard bit shifted down to its
     # lowest bit, times ``field``, fills the field (a masked select as in

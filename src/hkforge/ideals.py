@@ -190,7 +190,7 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 class QuotientPresentation:
     """R = S/C for a complete intersection C = (g_1..g_c); c = 0 means R = S."""
 
-    __slots__ = ("ring", "ci_gens", "dim")
+    __slots__ = ("ring", "ci_gens", "dim", "_zero_basis")
 
     def __init__(self, ring: PolyRing, ci_gens: Sequence[Polynomial] = ()):
         for g in ci_gens:
@@ -200,8 +200,13 @@ class QuotientPresentation:
         expected = ring.n - len(self.ci_gens)
         if expected < 0:
             raise PreconditionViolated("more quotient relations than variables")
+        # The zero ideal of R has C as its lift, so it takes the basis the
+        # check computes.  Kept as a basis, not an ideal, which would point
+        # back here and leave every presentation in a reference cycle.
+        self._zero_basis: Optional[GroebnerBasis] = None
         if self.ci_gens:
-            actual = Ideal(ring, self.ci_gens).krull_dim()
+            self._zero_basis = Ideal(ring, self.ci_gens).groebner()
+            actual = self._zero_basis.krull_dim()
             if actual != expected:
                 raise PreconditionViolated(
                     f"not a complete intersection: dim {actual}, expected {expected}"
@@ -216,7 +221,9 @@ class QuotientPresentation:
         return Ideal(self.ring, gens, self)
 
     def zero_ideal(self) -> Ideal:
-        return Ideal(self.ring, (), self)
+        zero = Ideal(self.ring, (), self)
+        zero._basis = self._zero_basis
+        return zero
 
     def is_isolated_singularity(self) -> bool:
         """Jacobian criterion: C + (c x c minors) has finite colength or is (1)."""

@@ -99,17 +99,13 @@ from .errors import (
     PreconditionViolated,
     ResourceCap,
 )
-from .groebner import GroebnerBasis, buchberger, env_int
+from .groebner import GroebnerBasis, buchberger
 from .poly import Exponents, Polynomial, PolyRing, monomials_of_degree
 from .scalar import prime_modulus
 
-DEFAULT_MAX_GROUP = 5000
+MAX_GROUP = 5000
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def default_max_group() -> int:
-    return env_int("HKFORGE_MAX_GROUP", DEFAULT_MAX_GROUP)
 
 
 def _normalize_matrix(p: int, m: Sequence[Sequence[int]], n: int) -> Matrix:
@@ -204,12 +200,10 @@ def _invariant_counts(G: MatrixGroup, top: int) -> list[int]:
 def group_closure(
     p: int,
     gens: Sequence[Sequence[Sequence[int]]],
-    cap: Optional[int] = None,
+    cap: int = MAX_GROUP,
 ) -> MatrixGroup:
     """Breadth-first multiplicative closure of the generating matrices."""
     p = prime_modulus(p)
-    if cap is None:
-        cap = default_max_group()
     if not gens:
         raise PreconditionViolated("a group needs at least one generator")
     n = len(gens[0])

@@ -37,7 +37,7 @@ from .errors import (
     ResourceCap,
 )
 from .groebner import INFINITE
-from .ideals import Ideal, QuotientPresentation
+from .ideals import Ideal
 
 FINITE = "finite"
 INFINITE_PD = "infinite"
@@ -45,7 +45,6 @@ INFINITE_PD = "infinite"
 
 @dataclass
 class LinkageDatum:
-    presentation: QuotientPresentation
     I: Ideal
     a: Ideal
     J: Ideal
@@ -75,13 +74,7 @@ def link(I: Ideal, a: Ideal) -> LinkageDatum:
     back = a.colon(J)
     if not back.equals(I):
         raise DoubleLinkFailed(f"(a : J) != I for I = {I!r}, a = {a!r}")
-    return LinkageDatum(
-        presentation=P,
-        I=I,
-        a=a,
-        J=J,
-        degenerate=degenerate,
-    )
+    return LinkageDatum(I=I, a=a, J=J, degenerate=degenerate)
 
 
 def _irredundant(J: Ideal, dim: int) -> Ideal:
@@ -130,10 +123,10 @@ def _row(L: LinkageDatum, q: int) -> HKRow:
     q = 1 the corner identity len_corner + len_J = len_a is the length
     identity len_I + len_J = len_a.
     """
-    n = L.presentation.ring.bracket_level(q)
+    n = L.I.presentation.ring.bracket_level(q)
     I_q, J_q, a_q = (ideal.bracket_power(q) for ideal in (L.I, L.J, L.a))
     len_i, len_j, len_a = I_q.colength(), J_q.colength(), a_q.colength()
-    scale = q**L.presentation.dim
+    scale = q**L.I.presentation.dim
     if len_a != scale * L.a.colength():
         raise IdentityViolation(
             f"parameter-ideal identity fails at q = {q}: "
@@ -175,7 +168,7 @@ def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
     q = 1 is vacuous (the corner power at 1 is I), so the default probe
     level is p^2.
     """
-    p = L.presentation.ring.p
+    p = L.I.presentation.ring.p
     if q is None:
         q = p * p
     if q <= 1:
@@ -253,7 +246,6 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
 @dataclass
 class ParityReport:
     self_linked: bool
-    even_certified: bool
     total_length: int
 
 
@@ -263,8 +255,9 @@ def gorenstein_parity_check(I: Ideal) -> ParityReport:
 
     A non-self-linked I is reported, not errored; an odd length for a
     self-linked I contradicts the duality pairing len(R) = 2*len(R/I) and
-    raises IdentityViolation.  The zero ideal is built once, so its basis
-    gives len(R) and answers the colon's membership tests.
+    raises IdentityViolation.  The presentation's zero ideal, whose basis
+    its complete-intersection check computed, gives len(R) and answers the
+    colon's membership tests.
     """
     if I.presentation.dim != 0:
         raise PreconditionViolated("parity check needs a zero-dimensional ring")
@@ -278,8 +271,4 @@ def gorenstein_parity_check(I: Ideal) -> ParityReport:
         raise IdentityViolation(
             f"self-linked ideal in a ring of odd length {total}"
         )
-    return ParityReport(
-        self_linked=self_linked,
-        even_certified=self_linked and total % 2 == 0,
-        total_length=int(total),
-    )
+    return ParityReport(self_linked=self_linked, total_length=int(total))

@@ -65,7 +65,7 @@ decoded coefficients to ``_from_dict`` keyed by ``pack``ed monomials.
 from __future__ import annotations
 
 from functools import reduce
-from operator import le, neg
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import NotAPowerOfP, PreconditionViolated, ResourceCap, RingMismatch
@@ -168,11 +168,6 @@ def _layout_runs(order: MonomialOrder, n: int) -> list[tuple[list[int], bool]]:
         return [(list(range(n)), True)]
     k = min(order.block, n)
     return [(run, True) for run in (list(range(k, n)), list(range(k))) if run]
-
-
-def exponents_divide(a: Exponents, b: Exponents) -> bool:
-    """True when monomial a divides monomial b componentwise."""
-    return all(map(le, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
@@ -476,11 +471,6 @@ class Polynomial:
         if self._span is None:
             self._span = reduce(self.ring._field_max, (m for m, _ in self.terms), 0)
         return self._span
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(map(self.ring.degree, (m for m, _ in self.terms)))
 
     # -- arithmetic ---------------------------------------------------------
 

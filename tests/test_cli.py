@@ -5,6 +5,7 @@ import os
 import pytest
 
 import hkforge.cli as cli
+import hkforge.groebner as groebner
 import hkforge.linkage as linkage
 from hkforge.errors import IdentityViolation, InternalError
 from hkforge.ideals import Ideal
@@ -313,12 +314,9 @@ def test_invariant(capsys):
     }
 
 
-def test_bound(capsys, monkeypatch):
+def test_bound(capsys):
     payload = run_json(capsys, "bound", "--n", "2", "--g", "2")
     assert payload == {"bound": "3/2", "two_var_bound": "3/2", "hs_bound": 3}
-    # bound reads neither environment cap, so bad values there do not matter
-    monkeypatch.setenv("HKFORGE_MAX_PAIRS", "abc")
-    monkeypatch.setenv("HKFORGE_MAX_GROUP", "zz")
     payload = run_json(capsys, "bound", "--n", "3", "--g", "4")
     assert payload == {"bound": "5/1"}
 
@@ -367,17 +365,32 @@ def test_exit_code_3_parse_errors(capsys, tmp_path):
     assert code == 3
 
 
-def test_exit_code_4_resource_caps(capsys, monkeypatch):
+def test_exit_code_4_resource_caps(capsys):
     code, _ = run(
         capsys, "gb", "--in", path("node.json"), "--ideal", "I", "--max-pairs", "0"
     )
     assert code == 4
-    monkeypatch.setenv("HKFORGE_MAX_PAIRS", "0")
-    code, _ = run(capsys, "gb", "--in", path("node.json"), "--ideal", "I")
-    assert code == 4
-    monkeypatch.delenv("HKFORGE_MAX_PAIRS")
     code, _ = run(capsys, "gb", "--in", path("node.json"), "--ideal", "I")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_environment_sets_no_limit(capsys, monkeypatch, value):
+    # The limits are module constants and the flags; no variable is read.
+    for name in ("HKFORGE_MAX_PAIRS", "HKFORGE_MAX_GROUP"):
+        monkeypatch.setenv(name, value)
+    code, out = run(capsys, "gb", "--in", path("node.json"), "--ideal", "I")
+    assert code == 0
+    assert json.loads(out) == {"basis": ["x", "y"], "order": "grevlex", "reduced": True}
+    code, out = run(capsys, "invariant", "--in", path("order2.json"))
+    assert code == 0
+    assert json.loads(out) == {
+        "colength": 3,
+        "d_stop": 2,
+        "e_hk": "3/2",
+        "generators": ["x^2", "x*y", "y^2"],
+        "group_order": 2,
+    }
 
 
 def test_exit_code_5_identity_violation(capsys, monkeypatch):
@@ -448,13 +461,17 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_caps_reset_after_run(capsys):
-    code, _ = run(
-        capsys, "gb", "--in", path("node.json"), "--ideal", "I", "--max-pairs", "0"
-    )
-    assert code == 4
-    # the per-run override must not leak into the next invocation
-    code, _ = run(capsys, "gb", "--in", path("node.json"), "--ideal", "I")
-    assert code == 0
+    defaults = groebner.MAX_PAIRS, groebner.MAX_TERMS
+    for argv, flag in [
+        (["gb", "--in", path("node.json"), "--ideal", "I"], ["--max-pairs", "0"]),
+        (["colon", "--in", path("ops.json"), "--ideal", "A", "--by", "mixed"], ["--max-terms", "1"]),
+        (["invariant", "--in", path("s3_f7.json")], ["--max-group", "3"]),
+    ]:
+        assert run(capsys, *argv, *flag) == (4, "")
+        # the per-run limit must not leak into the next invocation
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert (groebner.MAX_PAIRS, groebner.MAX_TERMS) == defaults
 
 
 # The node xy = 0 over the largest admitted prime, where q = p^6 is near
@@ -497,27 +514,18 @@ NESTED_X = "(" * 2000 + "x" + ")" * 2000
 
 
 @pytest.mark.parametrize(
-    "env, poly, argv, code",
+    "poly, argv, code",
     [
-        ({}, "x^²", ["dim", "--ideal", "I"], 3),
-        ({}, NESTED_X, ["dim", "--ideal", "I"], 3),
-        ({"HKFORGE_MAX_PAIRS": "abc"}, "x", ["gb", "--ideal", "I"], 2),
-        ({"HKFORGE_MAX_PAIRS": ""}, "x", ["colength", "--ideal", "I"], 2),
-        ({"HKFORGE_MAX_GROUP": "zz"}, "x", ["invariant"], 2),
-        ({}, None, ["bound", "--n", "10000", "--g", "10000"], 4),
+        ("x^²", ["dim", "--ideal", "I"], 3),
+        (NESTED_X, ["dim", "--ideal", "I"], 3),
+        (None, ["bound", "--n", "10000", "--g", "10000"], 4),
     ],
-    ids=["superscript", "nesting", "pairs-env", "pairs-env-empty", "group-env", "bound-digits"],
+    ids=["superscript", "nesting", "bound-digits"],
 )
-def test_crash_inputs_exit_with_a_named_error(capsys, monkeypatch, tmp_path, env, poly, argv, code):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_crash_inputs_exit_with_a_named_error(capsys, tmp_path, poly, argv, code):
     if poly is not None:
         problem = tmp_path / "problem.json"
-        problem.write_text(
-            json.dumps(
-                {"p": 5, "vars": ["x", "y"], "ideals": {"I": [poly]}, "group": [[[4, 0], [0, 4]]]}
-            )
-        )
+        problem.write_text(json.dumps({"p": 5, "vars": ["x", "y"], "ideals": {"I": [poly]}}))
         argv = [argv[0], "--in", str(problem), *argv[1:]]
     assert cli.main(argv) == code
     captured = capsys.readouterr()

@@ -34,6 +34,7 @@ recursion the staircase sweep replaced; both must equal a box count.
 
 import heapq
 import itertools
+from operator import le
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -59,11 +60,16 @@ from hkforge.invariants import (
     reynolds,
 )
 from hkforge.oracle import MacaulayFrame, colength_bruteforce
-from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, exponents_divide, monomials_of_degree
+from hkforge.poly import MAX_VARS, MonomialOrder, PolyRing, monomials_of_degree
 
 PRIMES = (2, 3, 5, 7, 101)
 LARGEST_PRIME = 2147483647
 NAMES = ("x", "y", "z", "w")
+
+
+def exponents_divide(a, b):
+    """True when monomial a divides monomial b componentwise."""
+    return all(map(le, a, b))
 
 
 def exponents_lcm(a, b):
@@ -572,7 +578,8 @@ def test_buchberger_matches_all_pairs_reference(R, data):
         mp.setattr(heapq, "heapify", heapify_spy)
         mp.setattr(heapq, "heappush", heappush_spy)
         mp.setattr(groebner, "_reduce", reduce_spy)
-        G = buchberger(R, gens, max_terms=200_000)
+        mp.setattr(groebner, "MAX_TERMS", 200_000)
+        G = buchberger(R, gens)
     assert G.basis == expected
     assert all(i < j and any(map(min, lts[i], lts[j])) for i, j in set(queued))
 
@@ -655,8 +662,9 @@ def test_buchberger_pops_the_pairs_of_the_lcm_update(R, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heapq, "heappop", heappop_spy)
         mp.setattr(groebner, "_Budget", BudgetSpy)
+        mp.setattr(groebner, "MAX_TERMS", max_terms)
         try:
-            result = buchberger(R, gens, max_terms=max_terms).basis
+            result = buchberger(R, gens).basis
         except ResourceCap as exc:
             result = str(exc)
     assert (pops, budgets[0].used, result) == expected

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hkforge import groebner
 from hkforge.errors import EmptyVariety, ResourceCap
 from hkforge.groebner import (
     INFINITE,
@@ -178,21 +179,28 @@ def test_frobenius_shortcut_on_reduced_bases():
         assert list(Gq.basis) == expected
 
 
-def test_resource_caps_trip():
+def test_resource_caps_trip(monkeypatch):
     R = ring2()
     x, y = R.variable(0), R.variable(1)
     gens = [x**3 - y, x * y**2 - x - 1, y**3 - x**2]
-    with pytest.raises(ResourceCap):
-        buchberger(R, gens, max_pairs=1)
-    with pytest.raises(ResourceCap):
-        buchberger(R, gens, max_terms=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "MAX_PAIRS", 1)
+        with pytest.raises(ResourceCap, match="pair budget 1 exhausted"):
+            buchberger(R, gens)
+    with monkeypatch.context() as mp:
+        mp.setattr(groebner, "MAX_TERMS", 2)
+        with pytest.raises(ResourceCap, match="term budget 2 exhausted"):
+            buchberger(R, gens)
+    # Both constants are read at each call: under the defaults it completes.
+    buchberger(R, gens)
 
 
-def test_pair_budget_counts_only_reduced_pairs():
+def test_pair_budget_counts_only_reduced_pairs(monkeypatch):
     R = ring2()
     x, y = R.variable(0), R.variable(1)
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 0)
     # Coprime leading terms: the one pair is discarded, never reduced.
-    assert buchberger(R, [x**2 + y, y**3], max_pairs=0).colength() == 6
+    assert buchberger(R, [x**2 + y, y**3]).colength() == 6
 
 
 @pytest.mark.parametrize(

@@ -463,7 +463,7 @@ def reference_link(I, a):
     back = a.colon(J)
     if not back.equals(I):
         raise DoubleLinkFailed(f"(a : J) != I for I = {I!r}, a = {a!r}")
-    return LinkageDatum(presentation=P, I=I, a=a, J=J, degenerate=degenerate)
+    return LinkageDatum(I=I, a=a, J=J, degenerate=degenerate)
 
 
 def differential_links():
@@ -508,7 +508,7 @@ def test_irredundant_link_matches_the_colon_as_returned(pair):
     gens = L.J.gens
     assert len(gens) <= len(ref.J.gens)
     for k, g in enumerate(gens):
-        others = Ideal(I.ring, gens[:k] + gens[k + 1 :], L.presentation)
+        others = Ideal(I.ring, gens[:k] + gens[k + 1 :], L.I.presentation)
         assert not others.contains(g)
 
 
@@ -542,14 +542,14 @@ def test_parity_examples():
     x = R1.variable(0)
     P = QuotientPresentation(R1, [x**2])
     report = gorenstein_parity_check(P.ideal([x]))
-    assert report.self_linked and report.even_certified
+    assert report.self_linked
     assert report.total_length == 2
 
     R2 = PolyRing(5, ("x", "y"))
     x2, y2 = R2.variable(0), R2.variable(1)
     P2 = QuotientPresentation(R2, [x2**2, y2**2])
     report = gorenstein_parity_check(P2.ideal([x2 * y2]))
-    assert not report.self_linked and not report.even_certified
+    assert not report.self_linked
     assert report.total_length == 4
 
     R7 = PolyRing(7, ("x1", "x2"))
@@ -565,13 +565,14 @@ def test_parity_self_linked_witness_mod5():
     a1, a2 = R.variable(0), R.variable(1)
     P = QuotientPresentation(R, [a1**2 - a2**2, a1 * a2])
     report = gorenstein_parity_check(P.ideal([a1 + 2 * a2]))
-    assert report.self_linked and report.even_certified
+    assert report.self_linked
     assert report.total_length == 4
 
 
-def test_parity_runs_buchberger_on_c_twice(monkeypatch, capsys):
-    # Once for the complete-intersection check, once for the zero ideal,
-    # whose basis then answers the colon's membership tests too.
+def test_parity_runs_buchberger_on_c_once(monkeypatch, capsys):
+    # The complete-intersection check runs it on the presentation's zero
+    # ideal, whose basis then gives len(R) and answers the colon's
+    # membership tests too.
     path = os.path.join(PROBLEMS, "dualnumbers.json")
     C = load_problem(path).presentation.ci_gens
     runs = []
@@ -584,7 +585,7 @@ def test_parity_runs_buchberger_on_c_twice(monkeypatch, capsys):
     monkeypatch.setattr(ideals, "buchberger", spy)
     report = run_json(capsys, "parity", "--in", path, "--ideal", "I")
     assert report["self_linked"] and report["total_length"] == 2
-    assert runs.count(C) == 2
+    assert runs.count(C) == 1
 
 
 def test_parity_requires_dimension_zero():

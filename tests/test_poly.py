@@ -97,8 +97,6 @@ def test_arithmetic_basics():
     assert (3 * f) * 2 == f  # 6 = 1 mod 5
     assert f**0 == R.one()
     assert f**1 == f
-    assert (x**2 - y).total_degree() == 2
-    assert R.zero().total_degree() == -1
 
 
 def test_canonical_rendering():

@@ -1,5 +1,6 @@
 """hkforge has no runtime dependency: every absolute import in its source is
-from the Python standard library."""
+from the Python standard library.  Nor does it read its environment: every
+limit is a module constant, changed at run time only by a CLI flag."""
 
 import ast
 import glob
@@ -9,10 +10,22 @@ import sys
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "hkforge")
 
 
-def absolute_imports(path):
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def parse(path):
     with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), filename=path)
-    for node in ast.walk(tree):
+        return ast.parse(handle.read(), filename=path)
+
+
+def source_paths():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    return paths
+
+
+def absolute_imports(path):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
@@ -20,13 +33,33 @@ def absolute_imports(path):
             yield node.lineno, node.module
 
 
+def environment_reads(path):
+    """Lines that name os.environ or os.getenv, as an attribute of the
+    module or imported from it."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                yield node.lineno, f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENVIRONMENT_READERS:
+                    yield node.lineno, f"from os import {alias.name}"
+
+
 def test_every_absolute_import_is_from_the_standard_library():
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
-    assert paths
     foreign = [
         f"{os.path.basename(path)}:{line}: {name}"
-        for path in paths
+        for path in source_paths()
         for line, name in absolute_imports(path)
         if name.split(".")[0] not in sys.stdlib_module_names | {"__future__"}
     ]
     assert foreign == []
+
+
+def test_no_module_reads_the_environment():
+    reads = [
+        f"{os.path.basename(path)}:{line}: {name}"
+        for path in source_paths()
+        for line, name in environment_reads(path)
+    ]
+    assert reads == []
