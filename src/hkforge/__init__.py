@@ -16,7 +16,7 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .groebner import GroebnerBasis, INFINITE, buchberger, normal_form, s_polynomial
+from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
 from .ideals import Ideal, QuotientPresentation
 from .invariants import (
     MatrixGroup,
@@ -49,7 +49,6 @@ __all__ = [
     "EmptyVariety",
     "GroebnerBasis",
     "HKForgeError",
-    "INFINITE",
     "IdentityViolation",
     "Ideal",
     "InternalError",

@@ -1,9 +1,10 @@
 """Command-line interface: subcommands over JSON problem files.
 
 Reports are deterministic: JSON keys are sorted, rationals are rendered as
-"num/den" strings, lengths are exact integers, infinite colengths are the
-string "infinite".  Exit codes: 0 success, 2 precondition violation, 3 parse
-error, 4 resource cap, 5 internal assertion failure, 1 anything else.
+"num/den" strings, lengths are exact integers, and a colength of None (a
+quotient of positive dimension) is the string "infinite".  Exit codes: 0
+success, 2 precondition violation, 3 parse error, 4 resource cap, 5 internal
+assertion failure, 1 anything else.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional
 
 from . import groebner
 from .errors import HKForgeError, InternalError, PreconditionViolated, ResourceCap
-from .groebner import INFINITE
 from .invariants import MAX_GROUP, group_closure, noether_bound_value, noether_ideal
 from .linkage import (
     corner_power,
@@ -28,14 +28,14 @@ from .linkage import (
 )
 from .oracle import colength_bruteforce
 from .poly import MonomialOrder
-from .problem import ProblemFile, load_problem
+from .problem import load_problem
 from .scalar import render_rational
 
 
 def _scalar(value):
     if isinstance(value, Fraction):
         return render_rational(value)
-    if isinstance(value, float) and value == INFINITE:
+    if value is None:
         return "infinite"
     return value
 
@@ -64,10 +64,11 @@ def _oracle_check(label: str, ideal, engine_value, memo: dict):
     per command, keeps its verdict on each generator set, so an ideal that
     recurs (a corner equal to I^[q], or whose lift repeats C) is certified
     once; every engine value is still compared.  An oracle that gives up
-    without certifying a value is a resource cap, not a disagreement.
+    without certifying a value is a resource cap, not a disagreement.  An
+    engine colength of None has nothing to certify and comes back as is.
     """
-    if engine_value == INFINITE:
-        return "infinite"
+    if engine_value is None:
+        return None
     gens = tuple(dict.fromkeys(ideal.lift_gens))
     key = frozenset(gens)
     if key not in memo:
@@ -82,12 +83,8 @@ def _oracle_check(label: str, ideal, engine_value, memo: dict):
     return value
 
 
-def _load(args) -> ProblemFile:
-    return load_problem(args.problem)
-
-
 def _cmd_gb(args) -> None:
-    ideal = _load(args).ideal(args.ideal)
+    ideal = load_problem(args.problem).ideal(args.ideal)
     if args.order:
         ring = ideal.ring.with_order(MonomialOrder.parse(args.order))
         basis = groebner.buchberger(ring, [ring.convert(g) for g in ideal.lift_gens])
@@ -103,7 +100,7 @@ def _cmd_gb(args) -> None:
 
 
 def _cmd_colength(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     ideal = problem.ideal(args.ideal)
     value = ideal.colength()
     payload = {"colength": _scalar(value)}
@@ -113,31 +110,31 @@ def _cmd_colength(args) -> None:
 
 
 def _cmd_dim(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     _emit_json({"dim": problem.ideal(args.ideal).krull_dim()})
 
 
 def _cmd_colon(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     result = problem.ideal(args.ideal).colon(problem.ideal(args.by))
     _emit_json({"generators": result.reduced_generators()})
 
 
 def _cmd_intersect(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     left = problem.ideal(args.ideal)
     right = problem.ideal(args.other)
     _emit_json({"generators": left.intersect(right).reduced_generators()})
 
 
 def _cmd_bracket(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     result = problem.ideal(args.ideal).bracket_power(args.q)
     _emit_json({"generators": result.reduced_generators(), "q": args.q})
 
 
 def _cmd_link(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     datum = link(problem.ideal(args.ideal), problem.ideal(args.ci))
     _emit_json(
         {
@@ -150,7 +147,7 @@ def _cmd_link(args) -> None:
 
 
 def _cmd_corner(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     datum = link(problem.ideal(args.ideal), problem.ideal(args.ci))
     corner = corner_power(datum, args.q)
     _emit_json(
@@ -163,7 +160,7 @@ def _cmd_corner(args) -> None:
 
 
 def _cmd_hk(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     ideal = problem.ideal(args.ideal)
     rows = hk_table(ideal, args.nmax)
     if args.oracle:
@@ -194,12 +191,12 @@ RECIPROCITY_HEADER = [
 
 
 def _cmd_reciprocity(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     I = problem.ideal(args.ideal)
     a = problem.ideal(args.ci)
     report = reciprocity_report(I, a, args.nmax)
+    L = report.linkage
     if args.oracle:
-        L = report.linkage
         memo: dict = {}
         for row in report.rows:
             _oracle_check(f"len_I(q={row.q})", L.I.bracket_power(row.q), row.len_i, memo)
@@ -233,19 +230,19 @@ def _cmd_reciprocity(args) -> None:
                 "smith_identity_at_1": True,
                 "reciprocity_all_q": report.reciprocity_all_q,
                 "pd_probe": report.pd_probe,
-                "dim": report.dim,
+                "dim": problem.presentation.dim,
                 "isolated_singularity": report.isolated_singularity,
                 "full_ci": True,
                 "m_primary": True,
-                "degenerate": report.degenerate,
-                "self_linked": report.self_linked,
+                "degenerate": L.degenerate,
+                "self_linked": L.self_linked,
             },
         }
     )
 
 
 def _cmd_parity(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     report = gorenstein_parity_check(problem.ideal(args.ideal))
     _emit_json(
         {
@@ -257,7 +254,7 @@ def _cmd_parity(args) -> None:
 
 
 def _cmd_invariant(args) -> None:
-    problem = _load(args)
+    problem = load_problem(args.problem)
     if not problem.group:
         raise PreconditionViolated("problem file declares no group")
     G = group_closure(problem.ring.p, problem.group, cap=args.max_group)

@@ -52,8 +52,6 @@ from .poly import Exponents, Polynomial, PolyRing
 MAX_PAIRS = 50_000
 MAX_TERMS = 1_000_000
 
-INFINITE = float("inf")
-
 
 class _Budget:
     """Counts terms touched during reductions; trips ResourceCap when spent."""
@@ -302,7 +300,7 @@ class GroebnerBasis:
     def __init__(self, ring: PolyRing, basis: tuple[Polynomial, ...]):
         self.ring = ring
         self.basis = tuple(basis)
-        self._colength = None
+        self._colength: Optional[int] = -1  # -1 until counted
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
@@ -341,19 +339,20 @@ class GroebnerBasis:
                     return False
         return True
 
-    def colength(self):
-        """Number of standard monomials; inf when the quotient has positive dim."""
-        if self._colength is None:
+    def colength(self) -> Optional[int]:
+        """Number of standard monomials; None when the quotient has positive
+        dimension."""
+        if self._colength == -1:
             self._colength = self._compute_colength()
         return self._colength
 
-    def _compute_colength(self):
+    def _compute_colength(self) -> Optional[int]:
         if self.is_unit_ideal():
             return 0
         lts = self.staircase()
         for i in range(self.ring.n):
             if not any(sum(e) == e[i] and e[i] > 0 for e in lts):
-                return INFINITE
+                return None
         return _staircase_count(lts)
 
     def krull_dim(self) -> int:

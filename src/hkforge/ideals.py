@@ -17,7 +17,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .errors import EmptyVariety, InternalError, PreconditionViolated
-from .groebner import GroebnerBasis, INFINITE, buchberger
+from .groebner import GroebnerBasis, buchberger
 from .poly import MonomialOrder, Polynomial, PolyRing
 
 
@@ -84,11 +84,11 @@ class Ideal:
     def is_m_primary(self) -> bool:
         if self.is_unit():
             raise EmptyVariety("the unit ideal is not proper")
-        return self.colength() != INFINITE
+        return self.colength() is not None
 
     # -- numeric queries ------------------------------------------------------
 
-    def colength(self):
+    def colength(self) -> Optional[int]:
         return self.groebner().colength()
 
     def krull_dim(self) -> int:
@@ -226,7 +226,8 @@ class QuotientPresentation:
         return zero
 
     def is_isolated_singularity(self) -> bool:
-        """Jacobian criterion: C + (c x c minors) has finite colength or is (1)."""
+        """Jacobian criterion: C + (c x c minors) has finite colength, which
+        for (1) is 0."""
         c = len(self.ci_gens)
         if c == 0:
             return True
@@ -236,15 +237,13 @@ class QuotientPresentation:
         minors = []
         for cols in itertools.combinations(range(self.ring.n), c):
             minors.append(_determinant([[row[j] for j in cols] for row in jac]))
-        sing = Ideal(self.ring, self.ci_gens + tuple(minors))
-        G = sing.groebner()
-        return G.is_unit_ideal() or G.colength() != INFINITE
+        return Ideal(self.ring, self.ci_gens + tuple(minors)).colength() is not None
 
     def is_full_ci(self, ideal: Ideal) -> bool:
         """Is `ideal` dim-R many elements generating an m-primary R-ideal?"""
         if not ideal.gens or len(ideal.gens) != self.dim:
             return False
-        return ideal.colength() != INFINITE and not ideal.is_unit()
+        return ideal.colength() is not None and not ideal.is_unit()
 
 
 def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:

@@ -424,8 +424,8 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
                 group_order=G.order,
                 generators=gens,
                 d_stop=d,
-                colength=int(colength),
-                e_hk=Fraction(int(colength), G.order),
+                colength=colength,
+                e_hk=Fraction(colength, G.order),
             )
     raise NoetherBoundViolated(
         f"invariant ideal not saturated by degree |G| = {G.order}"

@@ -36,7 +36,6 @@ from .errors import (
     PreconditionViolated,
     ResourceCap,
 )
-from .groebner import INFINITE
 from .ideals import Ideal
 
 FINITE = "finite"
@@ -180,12 +179,9 @@ def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
 class ReciprocityReport:
     rows: list[HKRow]
     linkage: LinkageDatum
-    dim: int
     reciprocity_all_q: bool
     pd_probe: str
     isolated_singularity: bool
-    degenerate: bool
-    self_linked: bool
 
 
 def hk_table(I: Ideal, n_max: int) -> list[tuple[int, int, int, Fraction]]:
@@ -234,12 +230,9 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     return ReciprocityReport(
         rows=rows,
         linkage=L,
-        dim=P.dim,
         reciprocity_all_q=all(r.smith_ok for r in rows),
         pd_probe=probe,
         isolated_singularity=P.is_isolated_singularity(),
-        degenerate=L.degenerate,
-        self_linked=L.self_linked,
     )
 
 
@@ -263,7 +256,7 @@ def gorenstein_parity_check(I: Ideal) -> ParityReport:
         raise PreconditionViolated("parity check needs a zero-dimensional ring")
     zero = I.presentation.zero_ideal()
     total = zero.colength()
-    if total == INFINITE:
+    if total is None:
         raise PreconditionViolated("quotient ring is not finite length")
     annihilator = zero.colon(I)
     self_linked = annihilator.equals(I)
@@ -271,4 +264,4 @@ def gorenstein_parity_check(I: Ideal) -> ParityReport:
         raise IdentityViolation(
             f"self-linked ideal in a ring of odd length {total}"
         )
-    return ParityReport(self_linked=self_linked, total_length=int(total))
+    return ParityReport(self_linked=self_linked, total_length=total)

@@ -100,7 +100,7 @@ def problem_from_dict(data) -> ProblemFile:
                 or any(
                     not isinstance(row, list)
                     or len(row) != ring.n
-                    or not all(isinstance(a, int) for a in row)
+                    or any(not isinstance(a, int) or isinstance(a, bool) for a in row)
                     for row in m
                 )
             ):

@@ -173,7 +173,7 @@ def test_criterion_04_node_reciprocity_table():
     assert [r.q for r in report.rows] == [1, 5, 25]
     assert not report.reciprocity_all_q
     assert report.pd_probe == INFINITE_PD
-    assert report.self_linked
+    assert report.linkage.self_linked
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"node reciprocity took {elapsed:.2f}s"
 

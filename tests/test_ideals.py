@@ -5,7 +5,7 @@ import pytest
 
 from hkforge import ideals
 from hkforge.errors import EmptyVariety, InternalError, PreconditionViolated
-from hkforge.groebner import INFINITE, buchberger
+from hkforge.groebner import buchberger
 from hkforge.ideals import Ideal, QuotientPresentation, _exact_divide
 from hkforge.oracle import MacaulayFrame
 from hkforge.parsing import parse_polynomial
@@ -323,4 +323,4 @@ def test_zero_ideal_of_presentation():
     P = QuotientPresentation(R, [x**2, y**2])
     assert P.zero_ideal().colength() == 4
     free = QuotientPresentation(R, ())
-    assert free.zero_ideal().colength() == INFINITE
+    assert free.zero_ideal().colength() is None

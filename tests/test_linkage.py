@@ -92,7 +92,7 @@ def test_degenerate_link(monkeypatch):
     rep = reciprocity_report(a, a, 1)
     assert all(r.len_j == 0 for r in rep.rows)
     assert all(r.smith_ok for r in rep.rows)
-    assert rep.degenerate
+    assert rep.linkage.degenerate
     assert rep.rows[1].corner.equals(a.bracket_power(5))
     assert meets == []
 
@@ -257,8 +257,8 @@ def test_reciprocity_node_report():
     assert [r.deviation for r in rep.rows] == [0, 8, 48]
     assert not rep.reciprocity_all_q
     assert rep.pd_probe == INFINITE_PD
-    assert rep.self_linked and not rep.degenerate
-    assert rep.dim == 1
+    assert rep.linkage.self_linked and not rep.linkage.degenerate
+    assert I.presentation.dim == 1
     assert rep.isolated_singularity
     # self-link symmetry
     assert all(r.len_i == r.len_j for r in rep.rows)
@@ -286,7 +286,7 @@ def test_reciprocity_sphere_report_frozen_values():
     assert all(r.deviation == 0 for r in rep.rows)
     assert rep.reciprocity_all_q
     assert rep.pd_probe == FINITE
-    assert rep.dim == 2
+    assert I.presentation.dim == 2
     assert rep.rows[1].normalized_i == Fraction(2)
     assert rep.rows[1].normalized_j == Fraction(4)
     assert rep.rows[1].normalized_a == Fraction(6)

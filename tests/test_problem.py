@@ -85,6 +85,7 @@ def test_non_ci_quotient_rejected():
         {"p": 5, "vars": ["x", "y"], "group": []},
         {"p": 5, "vars": ["x", "y"], "group": [[[1, 0]]]},
         {"p": 5, "vars": ["x", "y"], "group": [[[1, 0], [0, "1"]]]},
+        {"p": 5, "vars": ["x", "y"], "group": [[[True, 0], [0, 1]]]},
         {"p": 5, "vars": ["x"], "extra": True},
     ],
 )
@@ -124,6 +125,17 @@ def test_variable_name_with_a_trailing_newline_exits_3(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err == "error: 'vars' must be a nonempty list of identifiers\n"
+
+
+def test_boolean_group_entry_exits_3(capsys, tmp_path):
+    # A JSON boolean is not an integer entry, as with "p": true: the run
+    # exits 3 instead of reading true as 1.
+    path = tmp_path / "bool_group.json"
+    path.write_text('{"p": 5, "vars": ["x", "y"], "group": [[[true, 0], [0, 1]]]}')
+    code = cli.main(["invariant", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: group matrices must be 2x2 integer rows\n"
 
 
 def test_parse_errors_surface_with_ideal_context():

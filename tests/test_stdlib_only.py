@@ -1,6 +1,8 @@
 """hkforge has no runtime dependency: every absolute import in its source is
 from the Python standard library.  Nor does it read its environment: every
-limit is a module constant, changed at run time only by a CLI flag."""
+limit is a module constant, changed at run time only by a CLI flag.  And its
+arithmetic is exact: no float literal, no `float` or `math` name and no true
+division, so every length it prints is an int or a Fraction."""
 
 import ast
 import glob
@@ -46,6 +48,18 @@ def environment_reads(path):
                     yield node.lineno, f"from os import {alias.name}"
 
 
+def inexact_uses(path):
+    """Lines with a float literal, the name `float` or `math`, or a true
+    division `/` (a Fraction is divided by calling Fraction)."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id in ("float", "math"):
+            yield node.lineno, node.id
+        elif isinstance(getattr(node, "op", None), ast.Div):
+            yield node.lineno, "/"
+
+
 def test_every_absolute_import_is_from_the_standard_library():
     foreign = [
         f"{os.path.basename(path)}:{line}: {name}"
@@ -63,3 +77,12 @@ def test_no_module_reads_the_environment():
         for line, name in environment_reads(path)
     ]
     assert reads == []
+
+
+def test_no_module_leaves_exact_arithmetic():
+    uses = [
+        f"{os.path.basename(path)}:{line}: {name}"
+        for path in source_paths()
+        for line, name in inexact_uses(path)
+    ]
+    assert uses == []
