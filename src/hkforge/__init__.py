@@ -33,7 +33,6 @@ from .linkage import (
     gorenstein_parity_check,
     hk_table,
     link,
-    pd_finite_probe,
     reciprocity_report,
 )
 from .oracle import colength_bruteforce
@@ -81,7 +80,6 @@ __all__ = [
     "noether_ideal",
     "normal_form",
     "parse_polynomial",
-    "pd_finite_probe",
     "problem_from_dict",
     "reciprocity_report",
     "render_rational",

@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import groebner
+from . import groebner, invariants
 from .errors import HKForgeError, InternalError, PreconditionViolated, ResourceCap
-from .invariants import MAX_GROUP, group_closure, noether_bound_value, noether_ideal
+from .invariants import group_closure, noether_bound_value, noether_ideal
 from .linkage import (
     corner_power,
     gorenstein_parity_check,
@@ -257,7 +257,7 @@ def _cmd_invariant(args) -> None:
     problem = load_problem(args.problem)
     if not problem.group:
         raise PreconditionViolated("problem file declares no group")
-    G = group_closure(problem.ring.p, problem.group, cap=args.max_group)
+    G = group_closure(problem.ring.p, problem.group)
     result = noether_ideal(problem.ring, G)
     _emit_json(
         {
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("invariant", help="invariant ideal and its multiplicity")
     _add_common(s)
-    s.add_argument("--max-group", type=int, default=MAX_GROUP)
+    s.add_argument("--max-group", type=int, default=None)
     s.set_defaults(func=_cmd_invariant)
 
     s = sub.add_parser("bound", help="multiplicity bounds from n and |G|")
@@ -380,11 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    saved = groebner.MAX_PAIRS, groebner.MAX_TERMS
+    saved = groebner.MAX_PAIRS, groebner.MAX_TERMS, invariants.MAX_GROUP
     if getattr(args, "max_pairs", None) is not None:
         groebner.MAX_PAIRS = args.max_pairs
     if getattr(args, "max_terms", None) is not None:
         groebner.MAX_TERMS = args.max_terms
+    if getattr(args, "max_group", None) is not None:
+        invariants.MAX_GROUP = args.max_group
     try:
         args.func(args)
         return 0
@@ -392,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     finally:
-        groebner.MAX_PAIRS, groebner.MAX_TERMS = saved
+        groebner.MAX_PAIRS, groebner.MAX_TERMS, invariants.MAX_GROUP = saved
 
 
 if __name__ == "__main__":

@@ -197,12 +197,9 @@ def _invariant_counts(G: MatrixGroup, top: int) -> list[int]:
     return [t * scale % q for t in totals]
 
 
-def group_closure(
-    p: int,
-    gens: Sequence[Sequence[Sequence[int]]],
-    cap: int = MAX_GROUP,
-) -> MatrixGroup:
-    """Breadth-first multiplicative closure of the generating matrices."""
+def group_closure(p: int, gens: Sequence[Sequence[Sequence[int]]]) -> MatrixGroup:
+    """Breadth-first multiplicative closure of the generating matrices; a
+    closure past ``MAX_GROUP`` elements, read at call time, raises ResourceCap."""
     p = prime_modulus(p)
     if not gens:
         raise PreconditionViolated("a group needs at least one generator")
@@ -224,8 +221,8 @@ def group_closure(
                 b = _mat_mul(p, a, g)
                 if b not in seen:
                     seen.add(b)
-                    if len(seen) > cap:
-                        raise ResourceCap(f"group order exceeds cap {cap}")
+                    if len(seen) > MAX_GROUP:
+                        raise ResourceCap(f"group order exceeds cap {MAX_GROUP}")
                     nxt.append(b)
         frontier = nxt
     if gcd(len(seen), p) != 1:
@@ -325,9 +322,9 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
         # _orbit_sums's width check, made before a degree is skipped.
         raise ring._too_wide()
     if len(G._counts) <= d:
-        # The first band reaches |G|, the last degree noether_ideal can
-        # visit; a degree past the band widens it to at least twice as far.
-        G._counts[:] = _invariant_counts(G, max(d, G.order, 2 * len(G._counts)))
+        # The band reaches |G|, the last degree noether_ideal can visit; only
+        # a direct call past it widens the band, to d.
+        G._counts[:] = _invariant_counts(G, max(d, G.order))
     count = G._counts[d]
     if not count:
         return []

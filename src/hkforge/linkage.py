@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     DoubleLinkFailed,
@@ -161,20 +160,6 @@ def corner_power(L: LinkageDatum, q: int) -> Ideal:
     return L.I if q == 1 else L.a.bracket_power(q).colon(L.J.bracket_power(q))
 
 
-def pd_finite_probe(L: LinkageDatum, q: Optional[int] = None) -> str:
-    """Single-q projective-dimension certificate, valid over CI presentations.
-
-    q = 1 is vacuous (the corner power at 1 is I), so the default probe
-    level is p^2.
-    """
-    p = L.I.presentation.ring.p
-    if q is None:
-        q = p * p
-    if q <= 1:
-        raise PreconditionViolated("probe level must be at least p")
-    return FINITE if _row(L, q).deviation == 0 else INFINITE_PD
-
-
 @dataclass
 class ReciprocityReport:
     rows: list[HKRow]
@@ -214,7 +199,8 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     q = 1 the corner is I, so the first row also asserts len_I + len_J =
     len_a.  Violations raise IdentityViolation.  Reciprocity at higher q is
     recorded, not enforced: its failure is exactly the
-    infinite-projective-dimension signal.
+    infinite-projective-dimension signal, which pd_probe reads off the last
+    row, or at n_max = 0 off a row at q = p^2 (at q = 1 the corner is I).
     """
     P = I.presentation
     if P.dim < 1:
@@ -222,16 +208,14 @@ def reciprocity_report(I: Ideal, a: Ideal, n_max: int) -> ReciprocityReport:
     if n_max < 0:
         raise PreconditionViolated("n_max must be >= 0")
     L = link(I, a)
-    rows = [_row(L, P.ring.p**n) for n in range(n_max + 1)]
-    if n_max >= 1:
-        probe = FINITE if rows[-1].deviation == 0 else INFINITE_PD
-    else:
-        probe = pd_finite_probe(L)
+    p = P.ring.p
+    rows = [_row(L, p**n) for n in range(n_max + 1)]
+    probe = rows[-1] if n_max >= 1 else _row(L, p * p)
     return ReciprocityReport(
         rows=rows,
         linkage=L,
         reciprocity_all_q=all(r.smith_ok for r in rows),
-        pd_probe=probe,
+        pd_probe=FINITE if probe.deviation == 0 else INFINITE_PD,
         isolated_singularity=P.is_isolated_singularity(),
     )
 

@@ -8,6 +8,11 @@ minus the pivots of degree < D.  Raising D to D+1 adds the products of
 lowest degree D, whose reduction touches only degrees >= D, so one frame
 serves every bound (Mora's local degree order).
 
+Two module constants bound that growth, and both are read at call time,
+not when this module is imported: ``MAX_DEGREE``, the last D that
+``colength_bruteforce`` tries, and ``MAX_COLUMNS``, the most monomials below
+D that a frame may hold.  No CLI flag changes either one.
+
 Columns
 -------
 A column is one int, packed by the frame itself: from the top field down,
@@ -35,7 +40,7 @@ from .errors import PreconditionViolated, ResourceCap
 from .poly import Polynomial, PolyRing, monomials_of_degree
 
 MAX_COLUMNS = 20000
-DEFAULT_D_MAX = 64
+MAX_DEGREE = 64
 
 
 class MacaulayFrame:
@@ -146,17 +151,16 @@ class MacaulayFrame:
         return all(self._member({column: 1}) for column in powers)
 
 
-def colength_bruteforce(
-    ring: PolyRing, gens: Iterable[Polynomial], d_max: int = DEFAULT_D_MAX
-) -> Optional[int]:
-    """Stabilized brute-force colength; None when not certified by d_max.
+def colength_bruteforce(ring: PolyRing, gens: Iterable[Polynomial]) -> Optional[int]:
+    """Stabilized brute-force colength; None when not certified by D = MAX_DEGREE.
 
     Certificate: values at D and D+1 agree and every pure power x_i^(D-1)
-    lies in the frame, which forces I + m^D = I and hence finiteness.
+    lies in the frame, which forces I + m^D = I and hence finiteness.  A
+    frame that would pass ``MAX_COLUMNS`` first raises ResourceCap.
     """
     frame = MacaulayFrame(ring, list(gens), 1)
     prev, prev_pure = None, False
-    while frame.bound < d_max:
+    while frame.bound < MAX_DEGREE:
         frame.grow()
         value = frame.colength
         if value == prev and prev_pure:

@@ -6,6 +6,7 @@ import pytest
 
 import hkforge.cli as cli
 import hkforge.groebner as groebner
+import hkforge.invariants as invariants
 import hkforge.linkage as linkage
 from hkforge.errors import IdentityViolation, InternalError
 from hkforge.ideals import Ideal
@@ -461,7 +462,7 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_caps_reset_after_run(capsys):
-    defaults = groebner.MAX_PAIRS, groebner.MAX_TERMS
+    defaults = groebner.MAX_PAIRS, groebner.MAX_TERMS, invariants.MAX_GROUP
     for argv, flag in [
         (["gb", "--in", path("node.json"), "--ideal", "I"], ["--max-pairs", "0"]),
         (["colon", "--in", path("ops.json"), "--ideal", "A", "--by", "mixed"], ["--max-terms", "1"]),
@@ -471,7 +472,7 @@ def test_caps_reset_after_run(capsys):
         # the per-run limit must not leak into the next invocation
         code, _ = run(capsys, *argv)
         assert code == 0
-        assert (groebner.MAX_PAIRS, groebner.MAX_TERMS) == defaults
+        assert (groebner.MAX_PAIRS, groebner.MAX_TERMS, invariants.MAX_GROUP) == defaults
 
 
 # The node xy = 0 over the largest admitted prime, where q = p^6 is near

@@ -40,7 +40,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hkforge import groebner
+from hkforge import groebner, invariants, oracle
 from hkforge.errors import ModularCase, PreconditionViolated, ResourceCap
 from hkforge.groebner import (
     _Budget,
@@ -418,7 +418,9 @@ def dense_groups(draw, max_order=24):
         menu.append(swap)
     gens = draw(st.lists(st.sampled_from(menu), min_size=1, max_size=2))
     try:
-        group_closure(p, gens, cap=max_order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "MAX_GROUP", max_order)
+            group_closure(p, gens)
     except (ModularCase, ResourceCap):
         gens = [diagonal]  # of order k, which divides p - 1
     # A dense change of coordinates, invertible as a lower unitriangular
@@ -480,7 +482,10 @@ def test_grown_frame_matches_dense_reference(R, data):
         gens = gens + [R.variable(i) ** k for i, k in enumerate(powers)]
     probes = data.draw(st.lists(polys(R, max_terms=3, max_exp=4), max_size=4))
     d_max = 7
-    assert colength_bruteforce(R, gens, d_max=d_max) == reference_colength_bruteforce(R, gens, d_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "MAX_DEGREE", d_max)
+        value = colength_bruteforce(R, gens)
+    assert value == reference_colength_bruteforce(R, gens, d_max)
     frame = MacaulayFrame(R, gens, 1)
     for bound in range(1, d_max + 1):
         if bound > 1:
@@ -968,9 +973,11 @@ def reference_is_invertible(p, m):
 @example((13, [[2, 1, 0], [1, 7, 0], [0, 0, 1]]))
 def test_group_closure_rejects_the_generators_gaussian_elimination_finds_singular(case):
     p, m = case
-    # cap=1 stops the closure at its first new element, after the check.
+    # MAX_GROUP = 1 stops the closure at its first new element, after the check.
     try:
-        group_closure(p, [m], cap=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "MAX_GROUP", 1)
+            group_closure(p, [m])
         outcome = None
     except PreconditionViolated as exc:
         outcome = str(exc)
@@ -1048,7 +1055,9 @@ def counted_groups(draw):
             a = _mat_mul(p, lower, upper)
         gens.append(_small_prime_to_p_power(draw, p, a))
     try:
-        group_closure(p, gens, cap=MAX_COUNTED_ORDER)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "MAX_GROUP", MAX_COUNTED_ORDER)
+            group_closure(p, gens)
     except (ModularCase, ResourceCap):
         gens = gens[:1]
     return p, gens

@@ -66,13 +66,14 @@ def test_group_closure_contains_identity_and_inverses():
         )
 
 
-def test_group_closure_errors():
+def test_group_closure_errors(monkeypatch):
     with pytest.raises(PreconditionViolated):
         group_closure(5, [[[1, 0], [2, 0]]])  # singular
     with pytest.raises(ModularCase):
         group_closure(5, [[[1, 1], [0, 1]]])  # order 5 = p
-    with pytest.raises(ResourceCap):
-        group_closure(7, [DIAG35_F7], cap=3)
+    monkeypatch.setattr(invariants, "MAX_GROUP", 3)
+    with pytest.raises(ResourceCap, match="group order exceeds cap 3"):
+        group_closure(7, [DIAG35_F7])
     with pytest.raises(PreconditionViolated):
         group_closure(5, [])
 

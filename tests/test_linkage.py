@@ -16,7 +16,6 @@ from hkforge.linkage import (
     gorenstein_parity_check,
     hk_table,
     link,
-    pd_finite_probe,
     reciprocity_report,
 )
 from hkforge.poly import PolyRing
@@ -177,21 +176,16 @@ def test_deviation_values():
 
 
 def test_pd_probe():
+    # At n_max = 0 the probe reads a row at q = p^2.
     _, _, In, an = node()
-    Ln = link(In, an)
-    assert pd_finite_probe(Ln, 5) == INFINITE_PD
-    assert pd_finite_probe(Ln) == INFINITE_PD  # default level p^2
+    assert reciprocity_report(In, an, 0).pd_probe == INFINITE_PD
 
     R, P = free2()
     x, y = R.variable(0), R.variable(1)
-    L = link(P.ideal([x, y]), P.ideal([x**2, y**2]))
-    assert pd_finite_probe(L, 5) == FINITE
+    assert reciprocity_report(P.ideal([x, y]), P.ideal([x**2, y**2]), 0).pd_probe == FINITE
 
     _, _, Is, as_ = sphere()
-    Ls = link(Is, as_)
-    assert pd_finite_probe(Ls, 5) == FINITE
-    with pytest.raises(PreconditionViolated):
-        pd_finite_probe(Ln, 1)
+    assert reciprocity_report(Is, as_, 0).pd_probe == FINITE
 
 
 def test_hk_table_maximal_ideal_f2():
@@ -307,30 +301,26 @@ def test_parameter_ideal_identity_is_asserted(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "target, q, bump, call, match",
+    "target, q, bump, n_max, match",
     [
-        ("J", 5, 1, lambda L: reciprocity_report(L.I, L.a, 1), "corner identity fails at q = 5"),
-        ("J", 5, 1, lambda L: pd_finite_probe(L, 5), "corner identity fails at q = 5"),
-        ("I", 5, -1, lambda L: reciprocity_report(L.I, L.a, 1), "negative deviation -1 at q = 5"),
-        ("I", 5, -1, lambda L: pd_finite_probe(L, 5), "negative deviation -1 at q = 5"),
-        ("a", 5, 1, lambda L: pd_finite_probe(L, 5), "parameter-ideal identity fails at q = 5"),
+        ("J", 5, 1, 1, "corner identity fails at q = 5"),
+        ("I", 5, -1, 1, "negative deviation -1 at q = 5"),
         # The corner at q = 1 is I, so there the corner identity is the
         # length identity len_I + len_J = len_a.
-        ("J", 1, 1, lambda L: reciprocity_report(L.I, L.a, 0), "corner identity fails at q = 1"),
+        ("J", 1, 1, 0, "corner identity fails at q = 1"),
         # With --nmax 0 the probe at p^2 asserts its row's identities too.
-        ("J", 25, 1, lambda L: reciprocity_report(L.I, L.a, 0), "corner identity fails at q = 25"),
+        ("J", 25, 1, 0, "corner identity fails at q = 25"),
+        ("a", 25, 1, 0, "parameter-ideal identity fails at q = 25"),
     ],
     ids=[
         "corner-report",
-        "corner-probe",
         "deviation-report",
-        "deviation-probe",
-        "parameter-probe",
         "length-at-1-report",
         "corner-nmax0-probe",
+        "parameter-nmax0-probe",
     ],
 )
-def test_row_identities_are_asserted(monkeypatch, target, q, bump, call, match):
+def test_row_identities_are_asserted(monkeypatch, target, q, bump, n_max, match):
     _, _, I, a = sphere()
     L = link(I, a)
     gens = getattr(L, target).bracket_power(q).gens
@@ -339,7 +329,7 @@ def test_row_identities_are_asserted(monkeypatch, target, q, bump, call, match):
         Ideal, "colength", lambda self: colength(self) + bump * (self.gens == gens)
     )
     with pytest.raises(IdentityViolation, match=match):
-        call(L)
+        reciprocity_report(I, a, n_max)
 
 
 def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):

@@ -25,19 +25,24 @@ def test_truncated_colength_examples():
     assert MacaulayFrame(R, [x**3, y**3], 7).colength == 9
 
 
-def test_stabilized_colength():
+def test_stabilized_colength(monkeypatch):
     R = ring2()
     x, y = R.variable(0), R.variable(1)
     assert colength_bruteforce(R, [x**5, y**5, x * y]) == 9
     assert colength_bruteforce(R, [x**2, x * y, y**2]) == 3
     assert colength_bruteforce(R, [x + y, x * y]) == 2
     assert colength_bruteforce(R, [x, y]) == 1
+    # The certificate for 9 needs x^5 and y^5 below D; the bound is read per call.
+    monkeypatch.setattr(oracle, "MAX_DEGREE", 3)
+    assert colength_bruteforce(R, [x**5, y**5, x * y]) is None
+    assert colength_bruteforce(R, [x, y]) == 1
 
 
-def test_non_primary_ideal_never_stabilizes():
+def test_non_primary_ideal_never_stabilizes(monkeypatch):
     R = ring2()
     x = R.variable(0)
-    assert colength_bruteforce(R, [x], d_max=9) is None
+    monkeypatch.setattr(oracle, "MAX_DEGREE", 9)
+    assert colength_bruteforce(R, [x]) is None
 
 
 def test_membership_examples():

@@ -1,6 +1,7 @@
 """hkforge has no runtime dependency: every absolute import in its source is
 from the Python standard library.  Nor does it read its environment: every
-limit is a module constant, changed at run time only by a CLI flag.  And its
+limit is a module constant, read at call time and changed at run time only by
+a CLI flag, never frozen into a parameter or argparse default.  And its
 arithmetic is exact: no float literal, no `float` or `math` name and no true
 division, so every length it prints is an int or a Fraction."""
 
@@ -60,6 +61,36 @@ def inexact_uses(path):
             yield node.lineno, "/"
 
 
+def module_constants():
+    """Upper-case names bound at the top level of some hkforge module."""
+    return {
+        target.id
+        for path in source_paths()
+        for node in parse(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+
+
+def frozen_limits(path, constants):
+    """Lines where a parameter default or an argparse ``default=`` names a
+    module constant: such a value is captured once, at import or when the
+    parser is built, so rebinding the constant would not change it."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            defaults = [k.value for k in node.keywords if k.arg == "default"]
+        else:
+            continue
+        for default in defaults:
+            for sub in ast.walk(default):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in constants:
+                    yield sub.lineno, name
+
+
 def test_every_absolute_import_is_from_the_standard_library():
     foreign = [
         f"{os.path.basename(path)}:{line}: {name}"
@@ -86,3 +117,14 @@ def test_no_module_leaves_exact_arithmetic():
         for line, name in inexact_uses(path)
     ]
     assert uses == []
+
+
+def test_every_limit_is_read_at_call_time():
+    constants = module_constants()
+    assert {"MAX_PAIRS", "MAX_TERMS", "MAX_GROUP", "MAX_DEGREE", "MAX_COLUMNS"} <= constants
+    frozen = [
+        f"{os.path.basename(path)}:{line}: {name}"
+        for path in source_paths()
+        for line, name in frozen_limits(path, constants)
+    ]
+    assert frozen == []
