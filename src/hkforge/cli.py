@@ -29,7 +29,7 @@ from .linkage import (
 from .oracle import colength_bruteforce
 from .poly import MonomialOrder
 from .problem import load_problem
-from .scalar import render_rational
+from .scalar import digit_limit_exceeded, render_rational
 
 
 def _scalar(value):
@@ -271,6 +271,11 @@ def _cmd_invariant(args) -> None:
 
 
 def _cmd_bound(args) -> None:
+    # The numerator is at least C(n - 1 + g, n)/g >= 2^(m - bitlen(g)) with
+    # m = min(n, g - 1): over 4x the printing limit it has too many digits.
+    limit = sys.get_int_max_str_digits()
+    if limit and min(args.n, args.g - 1) - args.g.bit_length() >= 4 * limit:
+        raise digit_limit_exceeded()
     values = noether_bound_value(args.n, args.g)
     payload = {"bound": render_rational(values.bound)}
     if values.two_var_bound is not None:
@@ -279,11 +284,10 @@ def _cmd_bound(args) -> None:
     _emit_json(payload)
 
 
-def _add_common(sub, *, problem=True, oracle=False, fmt=False):
-    if problem:
-        sub.add_argument("--in", dest="problem", required=True, metavar="PROBLEM_JSON")
-        sub.add_argument("--max-pairs", type=int, default=None)
-        sub.add_argument("--max-terms", type=int, default=None)
+def _add_common(sub, *, oracle=False, fmt=False):
+    sub.add_argument("--in", dest="problem", required=True, metavar="PROBLEM_JSON")
+    sub.add_argument("--max-pairs", type=int, default=None)
+    sub.add_argument("--max-terms", type=int, default=None)
     if oracle:
         sub.add_argument("--oracle", action="store_true")
     if fmt:

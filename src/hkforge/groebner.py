@@ -31,8 +31,9 @@ shifted to the pair's queued lcm (``_s_pair``), with the leading terms,
 which cancel, left out, so no S-polynomial is made; ``s_polynomial``
 remains for ``verify`` and callers outside.  Monomials are the ring's packed
 ints (see ``poly``): a product is one ``+``, a divisibility test one
-subtraction and mask.  The colength sweeps the leading exponent tuples
-along the last variable, one slice per breakpoint (``_staircase_count``).
+subtraction and mask.  Colength, dimension and Hilbert function all read
+the Hilbert-series numerator of S/in(I), which each basis computes once by
+sweeping the leading exponents along the last variable (``_hilbert_numerator``).
 
 Every ``buchberger`` run has two budgets, the module constants
 ``MAX_PAIRS`` (pairs reduced) and ``MAX_TERMS`` (terms charged by its
@@ -43,6 +44,7 @@ reductions), read when the run starts; the CLI's ``--max-pairs`` and
 from __future__ import annotations
 
 import heapq
+from math import comb, factorial
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -295,12 +297,12 @@ def buchberger(ring: PolyRing, gens: Sequence[Polynomial]) -> "GroebnerBasis":
 class GroebnerBasis:
     """A reduced Groebner basis with staircase combinatorics on top."""
 
-    __slots__ = ("ring", "basis", "_colength")
+    __slots__ = ("ring", "basis", "_series")
 
     def __init__(self, ring: PolyRing, basis: tuple[Polynomial, ...]):
         self.ring = ring
         self.basis = tuple(basis)
-        self._colength: Optional[int] = -1  # -1 until counted
+        self._series: Optional[tuple[dict[int, int], int, Optional[int]]] = None
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
@@ -339,69 +341,87 @@ class GroebnerBasis:
                     return False
         return True
 
-    def colength(self) -> Optional[int]:
-        """Number of standard monomials; None when the quotient has positive
-        dimension."""
-        if self._colength == -1:
-            self._colength = self._compute_colength()
-        return self._colength
+    def _hilbert(self) -> tuple[dict[int, int], int, Optional[int]]:
+        """K(t) of S/in(I), the Krull dimension and the colength, computed
+        once.  With S_j = sum_e c_e C(e, j), K's j-th Taylor coefficient at
+        t = 1, K/(1 - t)^n has a pole of order n - j at 1 for the least j with
+        S_j != 0, and for j = n it is a polynomial with value (-1)^n S_n at 1.
+        One pass over K sums c_e e (e - 1) .. (e - j + 1) = j! c_e C(e, j)."""
+        if self._series is None:
+            n = self.ring.n
+            numerator = _hilbert_numerator(self.staircase())
+            falling = [0] * (n + 1)
+            for e, c in numerator.items():
+                for j in range(n + 1):
+                    falling[j] += c
+                    c *= e - j
+            j = next((j for j in range(n) if falling[j]), n)
+            colength = (-1) ** n * falling[n] // factorial(n) if j == n else None
+            self._series = (numerator, n - j, colength)
+        return self._series
 
-    def _compute_colength(self) -> Optional[int]:
-        if self.is_unit_ideal():
-            return 0
-        lts = self.staircase()
-        for i in range(self.ring.n):
-            if not any(sum(e) == e[i] and e[i] > 0 for e in lts):
-                return None
-        return _staircase_count(lts)
+    def colength(self) -> Optional[int]:
+        """Number of standard monomials; None for positive dimension."""
+        return self._hilbert()[2]
 
     def krull_dim(self) -> int:
         if self.is_unit_ideal():
             raise EmptyVariety("the unit ideal has empty vanishing locus")
+        return self._hilbert()[1]
+
+    def hilbert_function(self, d: int) -> int:
+        """dim (S/in(I))_d, which is dim (S/I)_d for homogeneous I:
+        sum over e <= d of c_e C(d - e + n - 1, n - 1)."""
         n = self.ring.n
-        supports = []
-        for e in self.staircase():
-            supports.append(sum(1 << i for i in range(n) if e[i]))
-        full = (1 << n) - 1
-        best = 0
-        for mask in range(full + 1):
-            size = bin(mask).count("1")
-            if size <= best:
-                continue
-            if all(s & ~mask for s in supports):
-                best = size
-        return best
+        return sum(c * comb(d - e + n - 1, n - 1) for e, c in self._hilbert()[0].items() if e <= d)
 
 
-def _staircase_count(exps: Sequence[Exponents]) -> int:
-    """Monomials outside the monomial ideal generated by exps, which must
-    contain a pure power of every variable; exps need not be minimal.
+def _hilbert_numerator(exps: Sequence[Exponents]) -> dict[int, int]:
+    """K(t) of S/M as {degree: nonzero coefficient}, where S/M has Hilbert
+    series K(t)/(1 - t)^n and exps, not necessarily minimal, generate M.
 
     Sweeps the last variable (the slice idea of Bigatti, "Computation of
-    Hilbert-Poincare series", JPAA 119, 1997).  At heights of x_n from one
-    breakpoint b_k of its exponents up to the next, the slice is the
-    (n-1)-variable ideal of the generators with last exponent at most b_k,
-    so it adds (b_{k+1} - b_k) times that slice's count.  Above the pure
-    power of x_n the slice is the unit ideal and adds nothing.  In two
-    variables the slice count is a running minimum; in one it is the
-    smallest exponent.
+    Hilbert-Poincare series", JPAA 119, 1997).  The heights of x_n from one
+    breakpoint b of its exponents up to the next, b', share the slice of the
+    generators with last exponent at most b, and add (t^b - t^b') K(slice);
+    those past the last add t^b K(slice).  A pure power of x_n makes the
+    slice the unit ideal, K = 0, and ends the sweep.  In one variable
+    K = 1 - t^a for the least a, so in two a running minimum is the slice.
     """
-    if len(exps[0]) == 1:
-        return min(e[0] for e in exps)
-    total = prev = 0
-    if len(exps[0]) == 2:
-        low = None
+    if not exps:
+        return {0: 1}
+    n = len(exps[0])
+    if n == 1:
+        a = min(e[0] for e in exps)
+        return {0: 1, a: -1} if a else {}
+    numerator: dict[int, int] = {}
+    prev = 0
+    if n == 2:
+        # 1 - t^low for the slices a generator has entered, 1 before.
+        numerator[0], low = 1, None
         for a, b in sorted(exps, key=itemgetter(1)):
-            if b > prev:
-                total += (b - prev) * low
-                prev = b
+            if low is not None and b > prev:
+                numerator[prev + low] = numerator.get(prev + low, 0) - 1
+                numerator[b + low] = numerator.get(b + low, 0) + 1
+            prev = b
             if low is None or a < low:
                 low = a
-        return total
-    slice_: list[Exponents] = []
-    for e in sorted(exps, key=itemgetter(-1)):
-        if e[-1] > prev:
-            total += (e[-1] - prev) * _staircase_count(slice_)
-            prev = e[-1]
-        slice_.append(e[:-1])
-    return total
+                if not low:
+                    break
+        if low is not None:
+            numerator[prev + low] = numerator.get(prev + low, 0) - 1
+    else:
+        slice_: list[Exponents] = []
+        for e in sorted(exps, key=itemgetter(-1)):
+            if e[-1] > prev:
+                for d, c in _hilbert_numerator(slice_).items():
+                    numerator[d + prev] = numerator.get(d + prev, 0) + c
+                    numerator[d + e[-1]] = numerator.get(d + e[-1], 0) - c
+                prev = e[-1]
+            slice_.append(e[:-1])
+            if not any(slice_[-1]):
+                break
+        else:
+            for d, c in _hilbert_numerator(slice_).items():
+                numerator[d + prev] = numerator.get(d + prev, 0) + c
+    return {d: c for d, c in numerator.items() if c}

@@ -76,18 +76,19 @@ degree whose count is 0 pulls no image.  A degree that runs out of images
 short of its count is an engine bug and raises ``InternalError``.
 
 The invariant ideal nR is accumulated degree by degree and the loop stops at
-the first degree d where every degree-d monomial lies in the leading-term
-ideal: any higher-degree invariant lies in m^d, hence in the accumulated
-ideal.  That degree is asserted to be at most |G|; crossing the bound can
-only mean an implementation bug or a modular leak, so it is an internal
-error.
+the first degree d where the accumulated basis has Hilbert function 0
+(``GroebnerBasis.hilbert_function``, read off the Hilbert-series numerator
+of the leading-term ideal): every degree-d monomial is then a leading
+monomial's multiple, and any higher-degree invariant lies in m^d, hence in
+the accumulated ideal.  That degree is asserted to be at most |G| (Noether's
+bound); crossing it can only mean an implementation bug or a modular leak,
+so it is an internal error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, gcd
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -357,33 +358,6 @@ def invariant_basis(ring: PolyRing, G: MatrixGroup, d: int) -> list[Polynomial]:
     return [ring._from_dict(pivots[k]) for k in sorted(pivots, key=key, reverse=True)]
 
 
-def _covers_degree(ring: PolyRing, leads: list[int], d: int) -> bool:
-    """Whether every degree-d monomial is divisible by one of the packed
-    monomials leads, in one guard-bit scan per monomial.
-
-    The leads sit side by side in one int, each in a segment of ``top``
-    bits (a packed monomial's fields, up to its highest guard bit) plus a
-    spacer bit.  For a monomial m,
-    m copied into every segment, plus the spacers, minus the leads leaves in
-    each segment m - lead mod 2^top without a borrow from its neighbour, so
-    its guard bits are 0 exactly when that lead divides m (the test of
-    ``PolyRing.divides``).  Adding 2^top - 1 to every segment of those guard
-    bits then carries into the spacer of each segment that is not 0.
-    """
-    top = ring.guard.bit_length()
-    stride = top + 1
-    ones = sum(1 << (i * stride) for i in range(len(leads)))
-    packed = sum(lead << (i * stride) for i, lead in enumerate(leads))
-    spacers = ones << top
-    guards = ring.guard * ones
-    fill = ((1 << top) - 1) * ones
-    units = [ring.pack(e) for e in monomials_of_degree(ring.n, 1)]
-    return all(
-        (((m * ones + spacers - packed) & guards) + fill) & spacers != spacers
-        for m in map(sum, combinations_with_replacement(units, d))
-    )
-
-
 @dataclass
 class InvariantIdealResult:
     group_order: int
@@ -397,11 +371,10 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
     """The ideal of R generated by all positive-degree invariants.
 
     Accumulates invariant_basis degree by degree; stops at the first degree
-    where every monomial is divisible by a leading monomial of the
-    accumulated basis (``_covers_degree``).  nR is homogeneous, so its
-    standard monomials of degree d span (S/nR)_d, and that test says
-    (S/nR)_d = 0, i.e. every degree-d monomial reduces to zero.  The stop
-    degree may not exceed |G|.
+    d where the accumulated basis has ``hilbert_function(d) == 0``.  nR is
+    homogeneous, so its standard monomials of degree d span (S/nR)_d, and
+    that test says (S/nR)_d = 0, i.e. every degree-d monomial reduces to
+    zero.  The stop degree may not exceed |G|.
     """
     if ring.p != G.p or ring.n != G.n:
         raise PreconditionViolated("ring and group live over different spaces")
@@ -413,9 +386,7 @@ def noether_ideal(ring: PolyRing, G: MatrixGroup) -> InvariantIdealResult:
             gens.extend(layer)
             # The reduced basis of the degrees below generates what gens did.
             basis = buchberger(ring, (basis.basis if basis is not None else ()) + tuple(layer))
-        if basis is not None and _covers_degree(
-            ring, [g.leading_monomial() for g in basis.basis], d
-        ):
+        if basis is not None and basis.hilbert_function(d) == 0:
             colength = basis.colength()
             return InvariantIdealResult(
                 group_order=G.order,

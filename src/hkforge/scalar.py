@@ -45,5 +45,9 @@ def render_rational(q: Fraction) -> str:
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ResourceCap(f"rational exceeds the {limit}-digit limit for printing") from None
+        raise digit_limit_exceeded() from None
+
+
+def digit_limit_exceeded() -> ResourceCap:
+    limit = sys.get_int_max_str_digits()
+    return ResourceCap(f"rational exceeds the {limit}-digit limit for printing")

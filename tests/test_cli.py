@@ -520,8 +520,10 @@ NESTED_X = "(" * 2000 + "x" + ")" * 2000
         ("x^²", ["dim", "--ideal", "I"], 3),
         (NESTED_X, ["dim", "--ideal", "I"], 3),
         (None, ["bound", "--n", "10000", "--g", "10000"], 4),
+        # Refused before the binomial is computed, which would take minutes.
+        (None, ["bound", "--n", "2000000", "--g", "2000000"], 4),
     ],
-    ids=["superscript", "nesting", "bound-digits"],
+    ids=["superscript", "nesting", "bound-digits", "bound-digits-up-front"],
 )
 def test_crash_inputs_exit_with_a_named_error(capsys, tmp_path, poly, argv, code):
     if poly is not None:

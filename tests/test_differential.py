@@ -29,7 +29,11 @@ reject as singular exactly the generators that the Gaussian elimination
 The packed-monomial operations of ``PolyRing`` must agree with their
 definitions on exponent tuples, and reduced bases with sympy's, when sympy
 is installed.  ``reference_count_standard`` is the split-and-minimalize
-recursion the staircase sweep replaced; both must equal a box count.
+recursion the staircase sweep replaced; both must equal a box count.  The
+colength, Krull dimension and Hilbert function that the Hilbert-series
+numerator gives must equal that box count, the subset scan
+``reference_krull_dim`` and the divisibility count
+``reference_hilbert_function``.
 """
 
 import heapq
@@ -45,8 +49,8 @@ from hkforge.errors import ModularCase, PreconditionViolated, ResourceCap
 from hkforge.groebner import (
     _Budget,
     _interreduce,
+    _hilbert_numerator,
     _reduce,
-    _staircase_count,
     buchberger,
     normal_form,
     s_polynomial,
@@ -880,26 +884,54 @@ def test_reduced_bases_match_sympy(data):
 
 @st.composite
 def staircases(draw):
-    """A pure power of every variable, then mixed generators, some of them
-    multiples or copies of others, in any order."""
+    """Monomial generators, some of them multiples or copies of others, in
+    any order.  A pure power of a variable is drawn or dropped, so the
+    staircase may be infinite; then (n, generators)."""
     n = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    exps = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(sizes)]
+    sizes = draw(st.lists(st.one_of(st.none(), st.integers(1, 6)), min_size=n, max_size=n))
+    exps = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(sizes) if a]
     exps += draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=8))
     exps = [e for e in exps if any(e)]
-    for e in draw(st.lists(st.sampled_from(exps), max_size=3)):
-        shift = draw(st.tuples(*[st.integers(0, 2)] * n))
-        exps.append(tuple(map(sum, zip(e, shift))))
-    return draw(st.permutations(exps))
+    if exps:
+        for e in draw(st.lists(st.sampled_from(exps), max_size=3)):
+            shift = draw(st.tuples(*[st.integers(0, 2)] * n))
+            exps.append(tuple(map(sum, zip(e, shift))))
+    return n, draw(st.permutations(exps))
+
+
+def reference_krull_dim(exps, n):
+    """The subset scan the numerator replaced: the most variables whose
+    span contains no generator's support."""
+    supports = [sum(1 << i for i in range(n) if e[i]) for e in exps]
+    return max(
+        bin(mask).count("1") for mask in range(1 << n) if all(s & ~mask for s in supports)
+    )
+
+
+def reference_hilbert_function(exps, n, d):
+    """Degree-d monomials that no generator divides."""
+    return sum(
+        not any(exponents_divide(e, m) for e in exps) for m in monomials_of_degree(n, d)
+    )
 
 
 @settings(max_examples=500, deadline=None)
-@given(staircases())
-def test_staircase_sweep_matches_split_recursion_and_box_count(exps):
-    n = len(exps[0])
-    expected = box_count(exps)
-    assert reference_count_standard(_minimalize(set(exps)), n, {}) == expected
-    assert _staircase_count(exps) == expected
+@given(staircases(), st.lists(st.integers(0, 16), min_size=1, max_size=3))
+def test_staircase_sweep_matches_split_recursion_and_box_count(staircase, degrees):
+    n, exps = staircase
+    R = PolyRing(5, NAMES[:n])
+    basis = buchberger(R, [R.from_terms([(e, 1)]) for e in exps])
+    # Copies and multiples among the generators leave K unchanged.
+    assert _hilbert_numerator(exps) == basis._hilbert()[0]
+    if all(any(e[i] and sum(e) == e[i] for e in exps) for i in range(n)):
+        expected = box_count(exps)
+        assert reference_count_standard(_minimalize(set(exps)), n, {}) == expected
+        assert basis.colength() == expected
+    else:
+        assert basis.colength() is None
+    assert basis.krull_dim() == reference_krull_dim(exps, n)
+    for d in degrees:
+        assert basis.hilbert_function(d) == reference_hilbert_function(exps, n, d)
 
 
 def reference_determinant(a):
