@@ -85,11 +85,8 @@ def _oracle_check(label: str, ideal, engine_value, memo: dict):
 
 def _cmd_gb(args) -> None:
     ideal = load_problem(args.problem).ideal(args.ideal)
-    if args.order:
-        ring = ideal.ring.with_order(MonomialOrder.parse(args.order))
-        basis = groebner.buchberger(ring, [ring.convert(g) for g in ideal.lift_gens])
-    else:
-        basis = ideal.groebner()
+    ring = ideal.ring.with_order(MonomialOrder.parse(args.order or ideal.ring.order.name))
+    basis = groebner.buchberger(ring, [ring.convert(g) for g in ideal.lift_gens])
     _emit_json(
         {
             "basis": [str(g) for g in basis.basis],

@@ -5,7 +5,8 @@ of R is its own generators plus the `QuotientPresentation` it lives over;
 S itself is the presentation with no relations.  An ideal is never reduced
 mod C.  Every query (Groebner basis, membership, equality, colength,
 dimension) runs on its lift, the generators followed by the relations of C,
-which is exact for the m-primary ideals this package accepts.  A bracket
+which is exact for the m-primary ideals this package accepts.  Ideals over
+one presentation with the same lift share one basis in its cache.  A bracket
 power raises only the generators, so C stays un-bracketed, and a colon comes
 back over the presentation of the dividend.  `intersect` returns an ideal
 over S.
@@ -22,12 +23,11 @@ from .poly import MonomialOrder, Polynomial, PolyRing
 
 
 class Ideal:
-    """An ideal of R = S/C over `presentation` (by default S, with no
-    relations), with one Groebner basis of its lift, in the ring's order.
-    It keeps no other state: an ideal built twice is two objects, and a
-    caller that wants one basis shares the object."""
+    """An ideal of R = S/C over `presentation` (by default a fresh S, with
+    no relations).  It keeps no state of its own: its Groebner basis, in the
+    ring's order, lives in the presentation's cache."""
 
-    __slots__ = ("ring", "gens", "presentation", "_basis")
+    __slots__ = ("ring", "gens", "presentation")
 
     def __init__(
         self,
@@ -42,7 +42,6 @@ class Ideal:
         self.presentation = (
             presentation if presentation is not None else QuotientPresentation(ring)
         )
-        self._basis: Optional[GroebnerBasis] = None
 
     @classmethod
     def of(cls, *gens: Polynomial) -> "Ideal":
@@ -59,9 +58,14 @@ class Ideal:
         return self.gens + self.presentation.ci_gens
 
     def groebner(self) -> GroebnerBasis:
-        if self._basis is None:
-            self._basis = buchberger(self.ring, self.lift_gens)
-        return self._basis
+        """The reduced basis of the lift, run once per generator set: it does
+        not depend on the order of the generators or on repeats among them."""
+        bases = self.presentation._bases
+        key = frozenset(self.lift_gens)
+        basis = bases.get(key)
+        if basis is None:
+            basis = bases[key] = buchberger(self.ring, self.lift_gens)
+        return basis
 
     # -- boolean queries ------------------------------------------------------
 
@@ -98,7 +102,7 @@ class Ideal:
 
     def bracket_power(self, q: int) -> "Ideal":
         """{g^q} + C over R: independent of the chosen lifts.  I^[1] is I
-        itself; any other q gives a new ideal, with no Groebner basis yet."""
+        itself; any other q gives a new ideal over I's presentation."""
         self.ring.bracket_level(q)
         if q == 1:
             return self
@@ -188,9 +192,12 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class QuotientPresentation:
-    """R = S/C for a complete intersection C = (g_1..g_c); c = 0 means R = S."""
+    """R = S/C for a complete intersection C = (g_1..g_c); c = 0 means R = S.
 
-    __slots__ = ("ring", "ci_gens", "dim", "_zero_basis")
+    It keeps the Groebner cache of its ideals, one basis per generator set
+    of a lift; a basis points at its ring, not here, so none is in a cycle."""
+
+    __slots__ = ("ring", "ci_gens", "dim", "_bases")
 
     def __init__(self, ring: PolyRing, ci_gens: Sequence[Polynomial] = ()):
         for g in ci_gens:
@@ -200,13 +207,9 @@ class QuotientPresentation:
         expected = ring.n - len(self.ci_gens)
         if expected < 0:
             raise PreconditionViolated("more quotient relations than variables")
-        # The zero ideal of R has C as its lift, so it takes the basis the
-        # check computes.  Kept as a basis, not an ideal, which would point
-        # back here and leave every presentation in a reference cycle.
-        self._zero_basis: Optional[GroebnerBasis] = None
+        self._bases: dict[frozenset, GroebnerBasis] = {}
         if self.ci_gens:
-            self._zero_basis = Ideal(ring, self.ci_gens).groebner()
-            actual = self._zero_basis.krull_dim()
+            actual = self.zero_ideal().krull_dim()
             if actual != expected:
                 raise PreconditionViolated(
                     f"not a complete intersection: dim {actual}, expected {expected}"
@@ -221,9 +224,7 @@ class QuotientPresentation:
         return Ideal(self.ring, gens, self)
 
     def zero_ideal(self) -> Ideal:
-        zero = Ideal(self.ring, (), self)
-        zero._basis = self._zero_basis
-        return zero
+        return self.ideal(())
 
     def is_isolated_singularity(self) -> bool:
         """Jacobian criterion: C + (c x c minors) has finite colength, which
@@ -237,7 +238,7 @@ class QuotientPresentation:
         minors = []
         for cols in itertools.combinations(range(self.ring.n), c):
             minors.append(_determinant([[row[j] for j in cols] for row in jac]))
-        return Ideal(self.ring, self.ci_gens + tuple(minors)).colength() is not None
+        return self.ideal(minors).colength() is not None
 
     def is_full_ci(self, ideal: Ideal) -> bool:
         """Is `ideal` dim-R many elements generating an m-primary R-ideal?"""

@@ -21,7 +21,8 @@ elimination fewer per dropped generator outside a^[q].  A J on at most
 dim R generators is kept untested: dropping one would leave fewer than
 n = dim S elements, C's included, to generate J + C, and by Krull's height
 theorem those generate no ideal of height n.  J + C is m-primary, or is (1)
-on the single generator 1, which C alone does not give.
+on the single generator 1, which C alone does not give.  A self-linked J,
+one equal to I, is I itself, so J^[q] is I^[q] and takes its basis.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class LinkageDatum:
 
 
 def link(I: Ideal, a: Ideal) -> LinkageDatum:
-    """J = (a : I), irredundant over R (see the module docstring), with
-    every linkage precondition and (a : J) = I checked."""
+    """J = (a : I), irredundant over R or I itself (see the module docstring),
+    with every linkage precondition and (a : J) = I checked."""
     P, Q = I.presentation, a.presentation
     if Q.ring != P.ring or Q.ci_gens != P.ci_gens:
         raise PreconditionViolated("I and a live over different presentations")
@@ -72,6 +73,8 @@ def link(I: Ideal, a: Ideal) -> LinkageDatum:
     back = a.colon(J)
     if not back.equals(I):
         raise DoubleLinkFailed(f"(a : J) != I for I = {I!r}, a = {a!r}")
+    if J.equals(I):
+        J = I
     return LinkageDatum(I=I, a=a, J=J, degenerate=degenerate)
 
 
@@ -79,21 +82,20 @@ def _irredundant(J: Ideal, dim: int) -> Ideal:
     """J less each generator, in the order they come (largest leading term
     first), that lies in the ideal of the generators still kept plus C.
 
-    A generator that is dropped leaves J as the ideal its membership test
-    just built, basis included, so no Groebner input runs twice.  The tests
-    stop once at most dim R generators are left (the Krull skip of the
+    The ideal a membership test builds has the generators J keeps when the
+    test drops one, so the presentation's cache hands J that basis.  The
+    tests stop once at most dim R generators are left (the Krull skip of the
     module docstring).
     """
     gens = list(J.gens)
     i = 0
     while len(gens) > dim and i < len(gens):
         rest = gens[:i] + gens[i + 1 :]
-        smaller = Ideal(J.ring, rest, J.presentation)
-        if smaller.contains(gens[i]):
-            gens, J = rest, smaller
+        if J.presentation.ideal(rest).contains(gens[i]):
+            gens = rest
         else:
             i += 1
-    return J
+    return J.presentation.ideal(gens)
 
 
 @dataclass
@@ -115,22 +117,20 @@ class HKRow:
 def _row(L: LinkageDatum, q: int) -> HKRow:
     """The reciprocity row at q, with its identities asserted.
 
-    I^[q], J^[q] and a^[q] are built once each.  The corner is I itself at
-    q = 1, by the double link that `link` proved, and (a^[q] : J^[q]) taken on
-    this very a^[q] otherwise, so the colon reuses the basis behind len_a.  At
-    q = 1 the corner identity len_corner + len_J = len_a is the length
-    identity len_I + len_J = len_a.
+    The corner comes from `corner_power`, whose a^[q] and J^[q] find the
+    bases behind len_a and len_J in the presentation's cache.  At q = 1 the
+    corner identity len_corner + len_J = len_a is the length identity
+    len_I + len_J = len_a.
     """
     n = L.I.presentation.ring.bracket_level(q)
-    I_q, J_q, a_q = (ideal.bracket_power(q) for ideal in (L.I, L.J, L.a))
-    len_i, len_j, len_a = I_q.colength(), J_q.colength(), a_q.colength()
+    len_i, len_j, len_a = (ideal.bracket_power(q).colength() for ideal in (L.I, L.J, L.a))
     scale = q**L.I.presentation.dim
     if len_a != scale * L.a.colength():
         raise IdentityViolation(
             f"parameter-ideal identity fails at q = {q}: "
             f"{len_a} != {scale} * {L.a.colength()}"
         )
-    corner = L.I if q == 1 else a_q.colon(J_q)
+    corner = corner_power(L, q)
     len_corner = corner.colength()
     dev = len_i - len_corner
     if dev < 0:
@@ -233,8 +233,8 @@ def gorenstein_parity_check(I: Ideal) -> ParityReport:
     A non-self-linked I is reported, not errored; an odd length for a
     self-linked I contradicts the duality pairing len(R) = 2*len(R/I) and
     raises IdentityViolation.  The presentation's zero ideal, whose basis
-    its complete-intersection check computed, gives len(R) and answers the
-    colon's membership tests.
+    its complete-intersection check left in the cache, gives len(R) and
+    answers the colon's membership tests.
     """
     if I.presentation.dim != 0:
         raise PreconditionViolated("parity check needs a zero-dimensional ring")

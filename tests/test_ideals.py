@@ -2,6 +2,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkforge import ideals
 from hkforge.errors import EmptyVariety, InternalError, PreconditionViolated
@@ -324,3 +326,40 @@ def test_zero_ideal_of_presentation():
     assert P.zero_ideal().colength() == 4
     free = QuotientPresentation(R, ())
     assert free.zero_ideal().colength() is None
+
+
+@st.composite
+def permuted_ideals(draw):
+    """(presentation, generators, the same generators permuted with one of
+    them repeated) over 1-3 variables, p in {2, 3, 5, 7}, lex, grevlex or
+    elim(k), with or without one relation C."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("lex", "grevlex", "elim")))
+    order = MonomialOrder.elim(draw(st.integers(1, n))) if kind == "elim" else MonomialOrder(kind)
+    R = PolyRing(draw(st.sampled_from((2, 3, 5, 7))), ("x", "y", "z")[:n], order)
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(1, R.p - 1))
+    polys = st.lists(term, min_size=1, max_size=3).map(R.from_terms)
+    gens = [g for g in draw(st.lists(polys, min_size=1, max_size=3)) if not g.is_zero()]
+    relations = []
+    if draw(st.booleans()):
+        relations = [R.variable(0) ** draw(st.integers(1, 3)) + draw(polys)]
+        assume(not relations[0].is_constant())
+    assume(not set(gens) <= set(relations))
+    permuted = draw(st.permutations(gens)) + [draw(st.sampled_from(gens))]
+    return QuotientPresentation(R, relations), gens, permuted
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_ideals())
+def test_ideals_with_one_generator_set_share_one_basis(case):
+    # A reduced basis depends neither on the order of the generators nor on
+    # repeats among them, so the presentation keys its cache by their set.
+    P, gens, permuted = case
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "buchberger", lambda ring, lift: runs.append(lift) or buchberger(ring, lift))
+        first, second = P.ideal(gens), P.ideal(permuted)
+        basis = first.groebner()
+        assert second.groebner() is basis
+    assert len(runs) == 1
+    assert basis == buchberger(P.ring, second.lift_gens)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -52,10 +53,59 @@ def test_link_regular_example():
 
 
 def test_link_node_is_self_linked():
+    # A self-linked J is I itself, so J^[q] is I^[q], basis and all.
     _, _, I, a = node()
     L = link(I, a)
-    assert L.J.equals(I)
+    assert L.J is I
     assert L.self_linked
+
+
+def test_link_sphere_m_is_self_linked():
+    # The sphere's ring with I = m = (x, y, z) and a = (y, z).
+    R, P, _, _ = sphere()
+    x, y, z = (R.variable(i) for i in range(3))
+    I = P.ideal([x, y, z])
+    assert link(I, P.ideal([y, z])).J is I
+
+
+def test_sphere_m_reciprocity_runs_no_lift_twice(monkeypatch, capsys, tmp_path):
+    # J is I, so each J^[q] takes I^[q]'s basis from the presentation.  The
+    # runs over S[t] are the colons' eliminations, which are not lifts.
+    path = tmp_path / "sphere-m.json"
+    path.write_text(json.dumps({
+        "p": 5, "vars": ["x", "y", "z"], "quotient": ["x^2 + y^2 + z^2"],
+        "ideals": {"I": ["x", "y", "z"], "a": ["y", "z"]},
+    }))
+    runs = []
+    buchberger = ideals.buchberger
+
+    def spy(ring, gens):
+        if ring.names == ("x", "y", "z"):
+            runs.append(frozenset(gens))
+        return buchberger(ring, gens)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    report = run_json(
+        capsys, "reciprocity", "--in", str(path), "--ideal", "I", "--ci", "a", "--nmax", "2"
+    )
+    assert [r["deviation"] for r in report["rows"]] == [0, 24, 624]
+    assert [r["len_I"] for r in report["rows"]] == [1, 37, 937]
+    assert report["verdicts"]["self_linked"]
+    assert len(runs) == len(set(runs))
+
+
+def test_reciprocity_leaves_no_reference_cycle():
+    # The presentation's bases point at the ring, not back at it, so a
+    # report and every basis behind it are freed by reference counting.
+    gc.collect()
+    gc.disable()
+    try:
+        R, P, I, a = node()
+        report = reciprocity_report(I, a, 2)
+        del R, P, I, a, report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("fixture", [node, sphere], ids=["node", "sphere"])
@@ -334,10 +384,12 @@ def test_row_identities_are_asserted(monkeypatch, target, q, bump, n_max, match)
 
 def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
     # The q = 1 corner is I by double linkage; every other corner is one
-    # colon on the row's own a^[q], so no Groebner input is run twice.  The
-    # sphere's link J = (x^2, z^2, y) drops x^2 = -y^2 - z^2 mod C, so of
-    # J^[q]'s generators only z^(2q) lies outside a^[q]: one intersection
-    # per colon.
+    # colon whose a^[q] and J^[q] find their bases in the presentation's
+    # cache, so no Groebner input is run twice.  The sphere's link
+    # J = (x^2, z^2, y) drops x^2 = -y^2 - z^2 mod C, so of J^[q]'s
+    # generators only z^(2q) lies outside a^[q]: one intersection per colon.
+    # At q > 1 the corner comes back as (y^q, z^q, C), whose lift has the
+    # generator set of I^[q]'s, so its length runs no Buchberger of its own.
     _, _, I, a = sphere()
     L = link(I, a)
     assert corner_power(L, 1) is L.I
@@ -364,7 +416,7 @@ def test_reciprocity_rows_build_each_ideal_once(monkeypatch, capsys):
     problem = os.path.join(os.path.dirname(__file__), "..", "problems", "sphere.json")
     argv = ["reciprocity", "--in", problem, "--ideal", "I", "--ci", "a", "--nmax", "3"]
     assert cli.main(argv) == 0
-    assert len(runs) == len(set(runs)) == 23
+    assert len(runs) == len({(sig, frozenset(gens)) for sig, gens in runs}) == 20
     assert len(colons) == 2 + 3  # link's two, then one per q > 1
     assert len(meets) == 5  # (a : I), (a : J), then one per q > 1
     assert json.loads(capsys.readouterr().out)["rows"][3]["len_corner"] == 2 * 125**2
